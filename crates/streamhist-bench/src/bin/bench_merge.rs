@@ -137,7 +137,7 @@ fn to_json(rows: &[Row], window: usize, b: usize, eps: f64) -> String {
             r.opt,
             r.bound_sq
         );
-        out.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
+        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
     }
     out.push_str("  ]\n}\n");
     out

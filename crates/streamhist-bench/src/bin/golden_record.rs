@@ -8,6 +8,12 @@
 //! into the test when intentionally re-baselining (and say why in the
 //! commit message).
 //!
+//! A second table pins fixed-window builds at the benchmark's shape
+//! (window 512, `B = 8`, `ε = 0.1`, plus one `B = 16`, `ε = 0.05` case) on
+//! streams three windows long, so every window has slid and the level
+//! queues are long: the regime where the candidate scan and the
+//! straddling-interval path do most of their work.
+//!
 //! Run: `cargo run --release -p streamhist-bench --bin golden_record`
 
 #![allow(clippy::disallowed_macros)] // report binaries print by design
@@ -16,21 +22,20 @@ use streamhist_stream::{AgglomerativeHistogram, FixedWindowHistogram};
 
 const STREAM_LEN: usize = 400;
 const FW_CAPACITY: usize = 128;
+const BENCH_WINDOW: usize = 512;
+const BENCH_STREAM_LEN: usize = 3 * BENCH_WINDOW;
 
-fn streams() -> Vec<(&'static str, Vec<f64>)> {
+fn streams(len: usize) -> Vec<(&'static str, Vec<f64>)> {
     vec![
-        ("utilization_trace_seed7", utilization_trace(STREAM_LEN, 7)),
-        (
-            "ar1_seed42",
-            collect(Ar1::new(42, 0.9, 100.0, 25.0), STREAM_LEN),
-        ),
+        ("utilization_trace_seed7", utilization_trace(len, 7)),
+        ("ar1_seed42", collect(Ar1::new(42, 0.9, 100.0, 25.0), len)),
         (
             "bursty_seed9",
-            collect(BurstyOnOff::new(9, 0.01, 0.08, 500.0, 1.4), STREAM_LEN),
+            collect(BurstyOnOff::new(9, 0.01, 0.08, 500.0, 1.4), len),
         ),
         (
             "level_shift_seed3",
-            collect(LevelShift::new(3, 0.01, 200.0), STREAM_LEN),
+            collect(LevelShift::new(3, 0.01, 200.0), len),
         ),
     ]
 }
@@ -39,7 +44,7 @@ fn main() {
     println!("// Generated by `cargo run -p streamhist-bench --bin golden_record`.");
     println!("// Streams: len {STREAM_LEN}; fixed window capacity {FW_CAPACITY}.");
     println!("vec![");
-    for (name, data) in streams() {
+    for (name, data) in streams(STREAM_LEN) {
         for &b in &[8usize, 50] {
             for &eps in &[0.1f64, 0.01] {
                 let agg = AgglomerativeHistogram::from_slice(&data, b, eps);
@@ -73,6 +78,36 @@ fn main() {
                 println!("    }},");
             }
         }
+    }
+    println!("]");
+    println!();
+    println!("// Benchmark shape: window {BENCH_WINDOW}; streams: len {BENCH_STREAM_LEN}.");
+    println!("vec![");
+    let streams = streams(BENCH_STREAM_LEN);
+    let shapes = streams
+        .iter()
+        .map(|(name, data)| (*name, data, 8usize, 0.1f64))
+        .chain(std::iter::once((streams[0].0, &streams[0].1, 16, 0.05)));
+    for (name, data, b, eps) in shapes {
+        let mut fw = FixedWindowHistogram::new(BENCH_WINDOW, b, eps);
+        for &v in data {
+            fw.push(v);
+        }
+        let (h, stats) = fw.histogram_with_stats();
+        println!("    BenchShapeGolden {{");
+        println!("        stream: {name:?},");
+        println!("        b: {b},");
+        println!("        eps: {eps:?},");
+        println!("        ends: vec!{:?},", h.bucket_ends());
+        println!(
+            "        heights: vec!{:?},",
+            h.buckets().iter().map(|bk| bk.height).collect::<Vec<_>>()
+        );
+        println!("        queue_sizes: vec!{:?},", stats.queue_sizes);
+        println!("        herror_evals: {},", stats.herror_evals);
+        println!("        binary_searches: {},", stats.binary_searches);
+        println!("        herror: {:?},", stats.herror);
+        println!("    }},");
     }
     println!("]");
 }

@@ -2,7 +2,9 @@
 //! materialization cost is `O((B³/ε²) log³ n)` — polylogarithmic in the
 //! window length but polynomial in `B` and `1/ε` — and compares it against
 //! the naive `O(n²B)` per-window DP, locating the crossover where the
-//! paper's algorithm starts winning.
+//! paper's algorithm starts winning. Beside each CreateList time it
+//! prints the work in the theorem's own units: `HERROR` evaluations and
+//! binary searches per build, and nanoseconds per evaluation.
 //!
 //! Run: `cargo run --release -p streamhist-bench --bin theorem1_scaling`
 
@@ -11,12 +13,27 @@ use streamhist_bench::{full_scale, timed};
 use streamhist_data::utilization_trace;
 use streamhist_stream::{FixedWindowHistogram, NaiveSlidingWindow};
 
-fn materialization_cost(
-    window: usize,
-    b: usize,
-    eps: f64,
-    stream: &[f64],
-) -> (f64, f64, Vec<usize>) {
+/// Mean cost of one fixed-window materialization, with its work counts.
+struct Cost {
+    /// CreateList seconds per build.
+    fw_s: f64,
+    /// Naive-DP seconds per build.
+    naive_s: f64,
+    /// Total interval count over the level queues (last build).
+    queue_total: usize,
+    /// `HERROR` evaluations per build.
+    evals: f64,
+    /// Binary searches per build.
+    searches: f64,
+}
+
+impl Cost {
+    fn ns_per_eval(&self) -> f64 {
+        self.fw_s * 1e9 / self.evals.max(1.0)
+    }
+}
+
+fn materialization_cost(window: usize, b: usize, eps: f64, stream: &[f64]) -> Cost {
     let mut fw = FixedWindowHistogram::new(window, b, eps);
     for &v in &stream[..window] {
         fw.push(v);
@@ -24,12 +41,14 @@ fn materialization_cost(
     // Time several materializations at different window positions.
     let reps = 5usize;
     let mut total = 0.0;
-    let mut stats = Vec::new();
+    let (mut evals, mut searches, mut queue_total) = (0usize, 0usize, 0usize);
     for r in 0..reps {
         fw.push(stream[window + r]);
         let ((_, s), t) = timed(|| fw.histogram_with_stats());
         total += t.as_secs_f64();
-        stats = s.queue_sizes;
+        evals += s.herror_evals;
+        searches += s.binary_searches;
+        queue_total = s.queue_sizes.iter().sum();
     }
     // Naive DP on the same windows.
     let mut naive = NaiveSlidingWindow::new(window, b);
@@ -43,7 +62,13 @@ fn materialization_cost(
         std::hint::black_box(h);
         naive_total += t.as_secs_f64();
     }
-    (total / reps as f64, naive_total / reps as f64, stats)
+    Cost {
+        fw_s: total / reps as f64,
+        naive_s: naive_total / reps as f64,
+        queue_total,
+        evals: evals as f64 / reps as f64,
+        searches: searches as f64 / reps as f64,
+    }
 }
 
 fn main() {
@@ -52,8 +77,17 @@ fn main() {
 
     println!("THM1-SCALING: per-materialization cost, CreateList vs naive O(n^2 B) DP\n");
     println!(
-        "{:>6} {:>4} {:>6} {:>14} {:>14} {:>9} {:>16}",
-        "window", "B", "eps", "CreateList", "naive DP", "speedup", "queue sizes"
+        "{:>6} {:>4} {:>6} {:>14} {:>14} {:>9} {:>10} {:>12} {:>10} {:>10}",
+        "window",
+        "B",
+        "eps",
+        "CreateList",
+        "naive DP",
+        "speedup",
+        "queue sum",
+        "evals/build",
+        "searches",
+        "ns/eval"
     );
 
     // Sweep window length at fixed (B, eps) — cost should grow much slower
@@ -61,19 +95,29 @@ fn main() {
     for &(b, eps) in &[(4usize, 1.0f64), (8, 0.5), (8, 0.1)] {
         let mut w = 512usize;
         while w <= max_window {
-            let (fw_t, naive_t, qs) = materialization_cost(w, b, eps, &stream);
-            let qsum: usize = qs.iter().sum();
+            let c = materialization_cost(w, b, eps, &stream);
             println!(
-                "{:>6} {:>4} {:>6} {:>13.3}ms {:>13.3}ms {:>8.1}x {:>16}",
+                "{:>6} {:>4} {:>6} {:>13.3}ms {:>13.3}ms {:>8.1}x {:>10} {:>12.0} {:>10.0} {:>10.1}",
                 w,
                 b,
                 eps,
-                fw_t * 1e3,
-                naive_t * 1e3,
-                naive_t / fw_t.max(1e-12),
-                format!("sum={qsum}")
+                c.fw_s * 1e3,
+                c.naive_s * 1e3,
+                c.naive_s / c.fw_s.max(1e-12),
+                c.queue_total,
+                c.evals,
+                c.searches,
+                c.ns_per_eval()
             );
-            println!("csv,thm1_window,{w},{b},{eps},{fw_t},{naive_t},{qsum}");
+            println!(
+                "csv,thm1_window,{w},{b},{eps},{},{},{},{},{},{}",
+                c.fw_s,
+                c.naive_s,
+                c.queue_total,
+                c.evals,
+                c.searches,
+                c.ns_per_eval()
+            );
             w *= 2;
         }
         println!();
@@ -84,13 +128,24 @@ fn main() {
     println!("fixed window = {w}: cost vs B and eps");
     for &b in &[2usize, 4, 8, 16] {
         for &eps in &[1.0f64, 0.5, 0.1] {
-            let (fw_t, _, qs) = materialization_cost(w, b, eps, &stream);
-            let qsum: usize = qs.iter().sum();
+            let c = materialization_cost(w, b, eps, &stream);
             println!(
-                "  B={b:<3} eps={eps:<5} CreateList = {:>9.3}ms  (queue total {qsum})",
-                fw_t * 1e3
+                "  B={b:<3} eps={eps:<5} CreateList = {:>9.3}ms  (queue total {}, \
+                 {:.0} evals, {:.0} searches, {:.1} ns/eval)",
+                c.fw_s * 1e3,
+                c.queue_total,
+                c.evals,
+                c.searches,
+                c.ns_per_eval()
             );
-            println!("csv,thm1_beps,{w},{b},{eps},{fw_t},{qsum}");
+            println!(
+                "csv,thm1_beps,{w},{b},{eps},{},{},{},{},{}",
+                c.fw_s,
+                c.queue_total,
+                c.evals,
+                c.searches,
+                c.ns_per_eval()
+            );
         }
     }
 }

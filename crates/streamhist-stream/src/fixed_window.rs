@@ -724,6 +724,14 @@ mod tests {
         assert!(stats.binary_searches >= stats.queue_sizes.iter().sum::<usize>());
         assert!(stats.herror_evals > 0);
         assert!(stats.arena_nodes > 0);
+        // Chains are built only for kept endpoints and the top solution:
+        // one node each, two when the straddling candidate won.
+        let endpoints: usize = stats.queue_sizes.iter().sum();
+        assert!(
+            stats.arena_nodes <= 2 * (endpoints + 1),
+            "{} arena nodes for {endpoints} endpoints",
+            stats.arena_nodes
+        );
         assert_eq!(stats.arena_peak, stats.arena_nodes); // batch mode never compacts
         assert_eq!(stats.compactions, 0);
     }

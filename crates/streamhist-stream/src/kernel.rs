@@ -10,18 +10,29 @@
 //! [`PrefixProvider`] (absolute running totals for the whole-stream
 //! algorithm, rebased `SUM'`/`SQSUM'` stores for the window algorithms).
 //!
-//! Two driving modes share [`Kernel::herror_eval`]:
+//! Two driving modes, each with one minimization loop:
 //!
-//! * **online** ([`Kernel::push_point`]) — the agglomerative recurrence:
-//!   each arriving point evaluates every level at the newest index only,
-//!   seeding the minimization with the level-`(k−1)` value ("fewer buckets
-//!   are always admissible"), then extends-or-starts the tail interval of
-//!   each queue. Queues persist across pushes.
+//! * **online** ([`Kernel::push_point`], [`Kernel::herror_eval`]) — the
+//!   agglomerative recurrence: each arriving point evaluates every level
+//!   at the newest index only, seeding the minimization with the
+//!   level-`(k−1)` value ("fewer buckets are always admissible"), then
+//!   extends-or-starts the tail interval of each queue. Queues persist
+//!   across pushes as arrays of [`Interval`]s, and every improving
+//!   candidate allocates its chain node eagerly: the arena's `peak` and
+//!   `compactions` counters are part of the checkpoint encoding, and the
+//!   golden checkpoint corpus (`tests/compat`) pins them byte for byte.
 //! * **batch** ([`Kernel::build`]) — the fixed-window `CreateList`
 //!   procedure: queues are rebuilt per materialization by binary search
 //!   over the monotone `HERROR[·, k]`, and the minimization additionally
 //!   considers the single-bucket candidate and the clipped candidate of
-//!   the interval straddling the query position.
+//!   the interval straddling the query position. Most evaluations are
+//!   binary-search probes whose chains would be thrown away, so the batch
+//!   minimization returns a [`Pick`] — which candidate won — and the chain
+//!   is built once per kept endpoint (and once for the top solution).
+//!   Finished levels are stored structure-of-arrays with a per-index
+//!   table of the first endpoint at or past each position, so the
+//!   straddling interval is an O(1) lookup and the candidate scan runs
+//!   over contiguous slices.
 //!
 //! Boundary chains live in a [`CutArena`] — flat, index-linked, `Send` —
 //! and the online mode reclaims dropped chains generationally via
@@ -75,8 +86,11 @@ pub struct KernelStats {
     pub binary_searches: usize,
     /// The current (approximate) `HERROR[n, B]` of the summary.
     pub herror: f64,
-    /// Boundary-chain nodes currently held by the arena (live chains plus
-    /// garbage not yet collected).
+    /// Boundary-chain nodes currently held by the arena: live chains plus
+    /// garbage not yet collected in the online mode; in the batch mode,
+    /// which builds chains only for kept endpoints, about one node per
+    /// interval plus the top solution's (at most two per interval when
+    /// the straddling candidate won).
     pub arena_nodes: usize,
     /// Largest arena occupancy ever reached.
     pub arena_peak: usize,
@@ -268,16 +282,15 @@ impl PrefixProvider for StreamTotals {
     }
 }
 
-/// Interval queues + chain arena + work counters: the state of one
-/// streaming DP.
+/// Interval queues + chain arena + work counters: the state of one online
+/// streaming DP (the batch mode's per-build state is [`BatchBuild`]).
 #[derive(Debug, Clone)]
 pub(crate) struct Kernel {
     b: usize,
     delta: f64,
     pub arena: CutArena,
-    /// `queues[k-1]` is the interval queue for level `k` (`k = 1 ..= b−1`):
-    /// preallocated and persistent in online mode, grown level by level in
-    /// batch mode.
+    /// `queues[k-1]` is the interval queue for level `k` (`k = 1 ..= b−1`),
+    /// preallocated and persistent.
     queues: Vec<Vec<Interval>>,
     /// `(HERROR[j, B], chain)` at the most recent evaluation point `j`.
     pub top: Option<(f64, CutId)>,
@@ -296,21 +309,6 @@ impl Kernel {
             delta,
             arena: CutArena::new(),
             queues: (1..b).map(|_| Vec::new()).collect(),
-            top: None,
-            evals: 0,
-            searches: 0,
-            last_live: 0,
-        }
-    }
-
-    /// A batch-mode kernel: queues are appended by [`Self::build`] as each
-    /// level's `CreateList` finishes.
-    fn new_batch(b: usize, delta: f64) -> Self {
-        Self {
-            b,
-            delta,
-            arena: CutArena::new(),
-            queues: Vec::with_capacity(b.saturating_sub(1)),
             top: None,
             evals: 0,
             searches: 0,
@@ -348,41 +346,25 @@ impl Kernel {
         }
     }
 
-    /// Approximate `HERROR[c, k]` (window-relative, 0-based `c`): the
-    /// minimum SSE of representing `[0, c]` with at most `k` buckets,
-    /// together with a boundary chain whose realized SSE never exceeds the
-    /// returned value.
+    /// Online `HERROR[c, k]` at the newest index `c`: the minimum SSE of
+    /// representing `[0, c]` with at most `k` buckets, together with a
+    /// boundary chain whose realized SSE never exceeds the returned value.
     ///
     /// Candidates, in evaluation order:
-    /// 1. the seed: either the caller-provided `init` (online mode passes
-    ///    the level-`(k−1)` value — fewer buckets are always admissible
-    ///    under at-most-B semantics) or, when `init` is `None` (batch
-    ///    mode), the single bucket `[0, c]` (the `i = −1` split);
-    /// 2. with `straddle` (batch mode only), for the first level-`k−1`
-    ///    interval whose endpoint is at or past `c` (the interval
-    ///    *straddling* the query position), the split `i = c−1`: its true
-    ///    `HERROR[c−1, k−1]` is not stored, but the queue invariant bounds
-    ///    it by the interval's endpoint error, and the final bucket `{c}`
-    ///    costs 0 — so `e.herror` itself is a sound upper-bound candidate.
-    ///    Its chain is the endpoint chain clipped below `c−1` (clipping a
-    ///    bucket to a sub-range cannot increase its SSE, so chain soundness
-    ///    is preserved). Without this candidate the approximation guarantee
-    ///    breaks whenever the true split falls inside a straddling
-    ///    interval, because candidates 3 stop one full interval short of
-    ///    `c`;
-    /// 3. every level-`k−1` endpoint `e` with `e.idx < c`, costed as
+    /// 1. the seed `init`, the level-`(k−1)` value (fewer buckets are
+    ///    always admissible under at-most-B semantics);
+    /// 2. every level-`k−1` endpoint `e` (all precede `c`; `k ≥ 2`), costed as
     ///    `HERROR[e, k−1] + SQERROR[e+1, c]`, scanned nearest-first:
     ///    `SQERROR[e+1, c]` is non-increasing in `e.idx`, so once it alone
     ///    reaches the best value so far, every farther candidate is
     ///    provably no better and the scan stops without affecting the
-    ///    computed minimum.
+    ///    computed minimum. Each improvement extends its chain at once.
     pub fn herror_eval<P: PrefixProvider>(
         &mut self,
         p: &P,
         c: usize,
         k: usize,
-        init: Option<(f64, CutId)>,
-        straddle: bool,
+        init: (f64, CutId),
     ) -> (f64, CutId) {
         let Self {
             queues,
@@ -391,48 +373,26 @@ impl Kernel {
             ..
         } = self;
         *evals += 1;
+        let (mut best, mut best_chain) = init;
         let sum0c = p.chain_sum(c);
         let (s_c, q_c) = p.dp_sums(c);
-        let (mut best, mut best_chain) = match init {
-            Some(seed) => seed,
-            None => (p.head_sqerror(c), arena.root(c, sum0c)),
-        };
-        if k >= 2 {
-            let queue = &queues[k - 2];
-            // Endpoints are sorted by index; pp = first endpoint at or past
-            // c (in online mode every endpoint precedes c, so pp = len).
-            let pp = queue.partition_point(|iv| iv.end.idx < c);
-            if straddle {
-                // Straddling interval (needs c >= 1; for c == 0 the
-                // single-bucket candidate is the whole search space).
-                if let Some(iv) = queue.get(pp) {
-                    let e = &iv.end;
-                    if c >= 1 && e.herror < best {
-                        best = e.herror;
-                        let sum_prev = p.chain_sum(c - 1);
-                        let clipped = match arena.truncate_below(e.chain, c - 1) {
-                            Some(t) => arena.extend(t, c - 1, sum_prev),
-                            None => arena.root(c - 1, sum_prev),
-                        };
-                        best_chain = arena.extend(clipped, c, sum0c);
-                    }
-                }
+        let queue = &queues[k - 2];
+        // Every endpoint of a well-formed queue precedes c; the partition
+        // point also keeps a restored queue from reaching past it.
+        let pp = queue.partition_point(|iv| iv.end.idx < c);
+        for iv in queue[..pp].iter().rev() {
+            let e = &iv.end;
+            let len = (c - e.idx) as f64;
+            let s = s_c - e.sum;
+            let q = q_c - e.sqsum;
+            let sq = (q - s * s / len).max(0.0);
+            if sq >= best {
+                break;
             }
-            for iv in queue[..pp].iter().rev() {
-                let e = &iv.end;
-                debug_assert!(e.idx < c);
-                let len = (c - e.idx) as f64;
-                let s = s_c - e.sum;
-                let q = q_c - e.sqsum;
-                let sq = (q - s * s / len).max(0.0);
-                if sq >= best {
-                    break;
-                }
-                let val = e.herror + sq;
-                if val < best {
-                    best = val;
-                    best_chain = arena.extend(e.chain, c, sum0c);
-                }
+            let val = e.herror + sq;
+            if val < best {
+                best = val;
+                best_chain = arena.extend(e.chain, c, sum0c);
             }
         }
         (best, best_chain)
@@ -456,7 +416,7 @@ impl Kernel {
         let h1 = p.head_sqerror(c);
         herrs.push((h1, self.arena.root(c, p.chain_sum(c))));
         for k in 2..=self.b {
-            let hk = self.herror_eval(p, c, k, Some(herrs[k - 2]), false);
+            let hk = self.herror_eval(p, c, k, herrs[k - 2]);
             herrs.push(hk);
         }
 
@@ -721,62 +681,6 @@ impl Kernel {
         })
     }
 
-    /// `CreateList[0, m−1, k]` (paper Fig. 5), iteratively: cover `[0, m)`
-    /// with maximal intervals inside which `HERROR[·, k]` stays within a
-    /// `(1+δ)` factor of its value at the interval start, locating each
-    /// endpoint by binary search over the monotone `HERROR[·, k]`.
-    fn create_list<P: PrefixProvider>(&mut self, p: &P, k: usize, m: usize) -> Vec<Interval> {
-        // Probe count is accumulated locally and flushed once per call so
-        // tracing adds no atomics inside the search loop.
-        #[cfg(feature = "obs")]
-        let mut probes: u64 = 0;
-        let mut queue: Vec<Interval> = Vec::new();
-        let mut a = 0usize;
-        while a < m {
-            let (t, chain_a) = self.herror_eval(p, a, k, None, true);
-            let threshold = (1.0 + self.delta) * t;
-            // Binary search for the maximal c in [a, m-1] with
-            // HERROR[c, k] <= threshold. HERROR[a, k] = t qualifies, so the
-            // loop invariant "lo qualifies" holds from the start.
-            self.searches += 1;
-            let mut lo = a;
-            let mut hi = m - 1;
-            let mut lo_val: (f64, CutId) = (t, chain_a);
-            while lo < hi {
-                #[cfg(feature = "obs")]
-                {
-                    probes += 1;
-                }
-                let mid = lo + (hi - lo).div_ceil(2);
-                let hv = self.herror_eval(p, mid, k, None, true);
-                if hv.0 <= threshold {
-                    lo = mid;
-                    lo_val = hv;
-                } else {
-                    hi = mid - 1;
-                }
-            }
-            let (s, q) = p.dp_sums(lo);
-            queue.push(Interval {
-                start_herror: t,
-                end: Endpoint {
-                    idx: lo,
-                    sum: s,
-                    sqsum: q,
-                    herror: lo_val.0,
-                    chain: lo_val.1,
-                },
-            });
-            a = lo + 1;
-        }
-        #[cfg(feature = "obs")]
-        if let Some(t) = crate::telemetry::active_kernel_tracer() {
-            t.probes.inc_by(probes);
-            t.intervals.inc_by(queue.len() as u64);
-        }
-        queue
-    }
-
     /// Batch mode: the full `CreateList` construction against a window-sum
     /// provider — interval lists bottom-up for each level `k = 1 .. B−1`,
     /// then the level-`B` minimization at the window end produces the
@@ -787,26 +691,246 @@ impl Kernel {
             crate::telemetry::active_kernel_tracer().map(|t| (t, std::time::Instant::now()));
 
         let m = p.len();
-        let mut kernel = Kernel::new_batch(b, delta);
-        if m > 0 {
+        let mut build = BatchBuild {
+            p,
+            delta,
+            arena: CutArena::new(),
+            levels: Vec::with_capacity(b.saturating_sub(1)),
+            evals: 0,
+            searches: 0,
+        };
+        let top = (m > 0).then(|| {
             for k in 1..b {
-                let q = kernel.create_list(p, k, m);
-                kernel.queues.push(q);
+                let level = build.create_list(k, m);
+                build.levels.push(level);
             }
-            let top = kernel.herror_eval(p, m - 1, b, None, true);
-            kernel.top = Some(top);
-        }
+            build.evals += 1;
+            let lower = build.levels.last();
+            let (h, pick) = batch_min(p, lower, m - 1);
+            (h, realize(&mut build.arena, p, lower, m - 1, pick))
+        });
 
-        // A fresh batch kernel starts its work counters at zero, so the
-        // totals here are exactly this build's work.
+        // A fresh build starts its work counters at zero, so the totals
+        // here are exactly this build's work.
         #[cfg(feature = "obs")]
         if let Some((t, start)) = trace {
             t.builds.inc();
-            t.evals.inc_by(kernel.evals as u64);
+            t.evals.inc_by(build.evals as u64);
             t.build_seconds.record(start.elapsed());
         }
 
-        (kernel.materialize_top(), kernel.stats(p.rebases()))
+        let hist = match top {
+            None => Histogram::new(0, Vec::new()).expect("empty domain is always valid"),
+            Some((_, chain)) => build.arena.materialize(chain),
+        };
+        let stats = KernelStats {
+            queue_sizes: build.levels.iter().map(|l| l.idx.len()).collect(),
+            herror_evals: build.evals,
+            binary_searches: build.searches,
+            herror: top.map_or(0.0, |(h, _)| h),
+            arena_nodes: build.arena.len(),
+            arena_peak: build.arena.peak(),
+            compactions: build.arena.compactions(),
+            rebases: p.rebases(),
+        };
+        (hist, stats)
+    }
+}
+
+/// The candidate that won a batch minimization: which chain to build for
+/// `HERROR[c, k]` if the value is kept (see [`realize`]). Positions index
+/// the level-`(k−1)` queue.
+#[derive(Debug, Clone, Copy)]
+enum Pick {
+    /// The single bucket `[0, c]`.
+    Head,
+    /// The endpoint straddling `c`, its chain clipped below `c−1`, plus the
+    /// bucket `{c}`.
+    Straddle(usize),
+    /// The endpoint's chain plus the bucket `[idx+1, c]`.
+    Split(usize),
+}
+
+/// One finished batch level queue, structure-of-arrays: entry `j` is the
+/// endpoint of the level's `j`-th interval — its index, DP cumulative
+/// sums, approximate `HERROR` and realized boundary chain. The intervals
+/// tile `[0, m)`, so `first[c]` (the first endpoint at or past `c`) is
+/// defined for every position and names the interval straddling `c`.
+/// Nothing reads an interval's start error once its search is done, so
+/// the level does not keep it.
+#[derive(Debug, Default)]
+struct BatchLevel {
+    idx: Vec<usize>,
+    sum: Vec<f64>,
+    sqsum: Vec<f64>,
+    herror: Vec<f64>,
+    chain: Vec<CutId>,
+    first: Vec<usize>,
+}
+
+/// The state of one batch build: the provider, the finished levels, the
+/// chain arena and the work counters.
+struct BatchBuild<'p, P> {
+    p: &'p P,
+    delta: f64,
+    arena: CutArena,
+    /// `levels[k-1]` is the finished queue of level `k`.
+    levels: Vec<BatchLevel>,
+    evals: usize,
+    searches: usize,
+}
+
+impl<P: PrefixProvider> BatchBuild<'_, P> {
+    /// `CreateList[0, m−1, k]` (paper Fig. 5), iteratively: cover `[0, m)`
+    /// with maximal intervals inside which `HERROR[·, k]` stays within a
+    /// `(1+δ)` factor of its value at the interval start, locating each
+    /// endpoint by binary search over the monotone `HERROR[·, k]`. Probes
+    /// only minimize; the chain is built once, for the endpoint kept.
+    fn create_list(&mut self, k: usize, m: usize) -> BatchLevel {
+        // Probe count is accumulated locally and flushed once per call so
+        // tracing adds no atomics inside the search loop.
+        #[cfg(feature = "obs")]
+        let mut probes: u64 = 0;
+        let p = self.p;
+        let lower = k.checked_sub(2).map(|l| &self.levels[l]);
+        let mut level = BatchLevel::default();
+        let mut a = 0usize;
+        while a < m {
+            self.evals += 1;
+            let (t, pick_a) = batch_min(p, lower, a);
+            let threshold = (1.0 + self.delta) * t;
+            // Binary search for the maximal c in [a, m-1] with
+            // HERROR[c, k] <= threshold. HERROR[a, k] = t qualifies, so the
+            // loop invariant "lo qualifies" holds from the start.
+            self.searches += 1;
+            let mut lo = a;
+            let mut hi = m - 1;
+            let mut lo_val = (t, pick_a);
+            while lo < hi {
+                #[cfg(feature = "obs")]
+                {
+                    probes += 1;
+                }
+                let mid = lo + (hi - lo).div_ceil(2);
+                self.evals += 1;
+                let hv = batch_min(p, lower, mid);
+                if hv.0 <= threshold {
+                    lo = mid;
+                    lo_val = hv;
+                } else {
+                    hi = mid - 1;
+                }
+            }
+            let (s, q) = p.dp_sums(lo);
+            level.idx.push(lo);
+            level.sum.push(s);
+            level.sqsum.push(q);
+            level.herror.push(lo_val.0);
+            level
+                .chain
+                .push(realize(&mut self.arena, p, lower, lo, lo_val.1));
+            a = lo + 1;
+        }
+        level.first.reserve_exact(m);
+        for (j, &end) in level.idx.iter().enumerate() {
+            level.first.resize(end + 1, j);
+        }
+        #[cfg(feature = "obs")]
+        if let Some(t) = crate::telemetry::active_kernel_tracer() {
+            t.probes.inc_by(probes);
+            t.intervals.inc_by(level.idx.len() as u64);
+        }
+        level
+    }
+}
+
+/// Batch `HERROR[c, k]` (window-relative, 0-based `c`) over the finished
+/// level-`(k−1)` queue `lower` (`None` for `k = 1`): the minimum SSE of
+/// representing `[0, c]` with at most `k` buckets, and the [`Pick`] whose
+/// chain realizes it (its realized SSE never exceeds the value).
+///
+/// Candidates, in evaluation order:
+/// 1. the single bucket `[0, c]` (the `i = −1` split);
+/// 2. for the interval *straddling* `c` (the first endpoint at or past
+///    `c`), the split `i = c−1`: its true `HERROR[c−1, k−1]` is not
+///    stored, but the queue invariant bounds it by the interval's endpoint
+///    error, and the final bucket `{c}` costs 0 — so the endpoint error
+///    itself is a sound upper-bound candidate. Its chain is the endpoint
+///    chain clipped below `c−1` (clipping a bucket to a sub-range cannot
+///    increase its SSE, so chain soundness is preserved). Without this
+///    candidate the approximation guarantee breaks whenever the true split
+///    falls inside a straddling interval, because candidates 3 stop one
+///    full interval short of `c`;
+/// 3. every endpoint `e` with `e.idx < c`, costed as
+///    `HERROR[e, k−1] + SQERROR[e+1, c]`, scanned nearest-first:
+///    `SQERROR[e+1, c]` is non-increasing in `e.idx`, so once it alone
+///    reaches the best value so far, every farther candidate is provably
+///    no better and the scan stops without affecting the computed minimum.
+///    Ties keep the nearer candidate (strict `<`).
+fn batch_min<P: PrefixProvider>(p: &P, lower: Option<&BatchLevel>, c: usize) -> (f64, Pick) {
+    let mut best = p.head_sqerror(c);
+    let Some(lv) = lower else {
+        return (best, Pick::Head);
+    };
+    let pp = lv.first[c];
+    let mut pick = Pick::Head;
+    // Straddling interval (needs c >= 1; for c == 0 the single-bucket
+    // candidate is the whole search space).
+    if c >= 1 && lv.herror[pp] < best {
+        best = lv.herror[pp];
+        pick = Pick::Straddle(pp);
+    }
+    let (s_c, q_c) = p.dp_sums(c);
+    let mut split = usize::MAX;
+    let candidates = lv.idx[..pp]
+        .iter()
+        .zip(&lv.sum[..pp])
+        .zip(&lv.sqsum[..pp])
+        .zip(&lv.herror[..pp])
+        .enumerate()
+        .rev();
+    for (j, (((&idx, &sum), &sqsum), &herror)) in candidates {
+        let len = (c - idx) as f64;
+        let s = s_c - sum;
+        let q = q_c - sqsum;
+        let sq = (q - s * s / len).max(0.0);
+        if sq >= best {
+            break;
+        }
+        let val = herror + sq;
+        let better = val < best;
+        best = if better { val } else { best };
+        split = if better { j } else { split };
+    }
+    if split != usize::MAX {
+        pick = Pick::Split(split);
+    }
+    (best, pick)
+}
+
+/// Builds the boundary chain of `pick` for position `c` against the
+/// level it was picked from, with the same arena calls an eager
+/// minimization would have made for the winning candidate.
+fn realize<P: PrefixProvider>(
+    arena: &mut CutArena,
+    p: &P,
+    lower: Option<&BatchLevel>,
+    c: usize,
+    pick: Pick,
+) -> CutId {
+    let sum0c = p.chain_sum(c);
+    let chain = |j: usize| lower.expect("only level k >= 2 picks an endpoint").chain[j];
+    match pick {
+        Pick::Head => arena.root(c, sum0c),
+        Pick::Split(j) => arena.extend(chain(j), c, sum0c),
+        Pick::Straddle(j) => {
+            let sum_prev = p.chain_sum(c - 1);
+            let clipped = match arena.truncate_below(chain(j), c - 1) {
+                Some(t) => arena.extend(t, c - 1, sum_prev),
+                None => arena.root(c - 1, sum_prev),
+            };
+            arena.extend(clipped, c, sum0c)
+        }
     }
 }
 

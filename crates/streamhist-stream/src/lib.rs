@@ -19,9 +19,10 @@
 //!   `O((B³/ε²) log³ n)` (paper Theorem 1).
 //!
 //! Both algorithms (and the time-based [`TimeWindowHistogram`]) drive one
-//! shared dynamic-programming kernel (`kernel` module): a single
-//! `herror_eval` minimization and interval-queue maintenance
-//! implementation, generic over a
+//! shared dynamic-programming kernel (`kernel` module): one
+//! `HERROR` minimization and interval-queue maintenance implementation
+//! per driving mode (online for the whole stream, batch `CreateList` for
+//! the windows), generic over a
 //! [`PrefixProvider`](streamhist_core::PrefixProvider) (absolute running
 //! totals for the whole-stream algorithm, rebased `SUM'`/`SQSUM'` stores
 //! for the windows). For every bucket-count level `k < B` the kernel

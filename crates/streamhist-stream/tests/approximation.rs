@@ -139,6 +139,40 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Chain soundness: at every slide position, the histogram the
+    /// fixed-window build emits realizes an SSE no larger than the
+    /// `HERROR` value the kernel reports for it (up to floating-point
+    /// rounding). The DP values and the chains are produced separately
+    /// (the build realizes a chain only for the candidate it kept), so a
+    /// chain built from the wrong endpoint breaks this even where the
+    /// `(1+ε)` bound still happens to hold; 256 cases are enough to catch
+    /// a straddling chain clipped from the neighbouring endpoint.
+    #[test]
+    fn fixed_window_chain_realizes_reported_herror(
+        data in prop::collection::vec(0..64i64, 1..200),
+        cap in 2usize..64,
+        b in 1usize..7,
+        eps in prop::sample::select(vec![0.05f64, 0.1, 0.5, 1.0]),
+    ) {
+        let data: Vec<f64> = data.into_iter().map(|v| v as f64).collect();
+        let mut fw = FixedWindowHistogram::new(cap, b, eps);
+        for (i, &v) in data.iter().enumerate() {
+            fw.push(v);
+            let (h, stats) = fw.histogram_with_stats();
+            let lo = (i + 1).saturating_sub(cap);
+            let realized = h.sse(&data[lo..=i]);
+            prop_assert!(
+                realized <= stats.herror * (1.0 + 1e-9),
+                "t={i}: realized {realized} > reported {} (cap={cap}, b={b}, eps={eps})",
+                stats.herror
+            );
+        }
+    }
+}
+
 /// Deterministic regression: adversarial level-shift stream where the
 /// agglomerative queues would mislead a sliding algorithm (paper §4.4's
 /// motivation) — the fixed-window algorithm must stay within guarantee.
