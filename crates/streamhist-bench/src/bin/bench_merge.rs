@@ -5,23 +5,22 @@
 //! into one `B`-bucket fleet histogram, and the harness measures
 //!
 //! * **latency** — wall time of `snapshot_global()` after a fresh slab
-//!   has been pushed *and drained* (per-shard barrier snapshots first, so
-//!   the cache deterministically misses and the per-shard histograms are
-//!   already materialized): the measured cost is the gather itself —
-//!   every kernel re-optimization in the merge tree;
+//!   has been pushed and drained behind per-shard barrier snapshots (the
+//!   unapplied slab alone already forces a cache miss; the barriers keep
+//!   the shard builds out of the sample): the measured cost is the
+//!   concurrent scatter over already-materialized shards plus the exact
+//!   run-level merge;
 //! * **accuracy** — SSE of the gathered histogram against the true
 //!   concatenated fleet window `u`, compared to the exact-replay optimum
 //!   `OPT_B(u)` and checked against the documented gather bound
 //!   (DESIGN.md §7): `√SSE ≤ √G + √(1+ε)·(√G + √OPT_B(u))` with
 //!   `G = Σᵢ SSE(ĥᵢ, windowᵢ)`.
 //!
-//! Fleets of 1, 4 and 16 shards run with a flat gather; the 16-shard
-//! fleet additionally runs a two-level `gather_fanout(4)` aggregation
-//! tree, whose bound composes once per level.
+//! Fleets of 1, 4 and 16 shards run.
 //!
 //! Output: a human-readable table plus `BENCH_merge.json` (written to the
 //! current directory). **Exits nonzero** if any configuration's measured
-//! global error exceeds its composed bound — the CI merge-smoke gate.
+//! global error exceeds the bound — the CI merge-smoke gate.
 //!
 //! Run: `cargo run --release -p streamhist-bench --bin bench_merge`
 //! (set `STREAMHIST_FULL=1` for the paper-scale stream).
@@ -36,7 +35,6 @@ use streamhist_stream::ShardedFixedWindow;
 
 struct Row {
     shards: usize,
-    fanout: usize, // 0 = flat gather
     points: usize,
     snapshot_secs: f64,
     merges: u64,
@@ -46,12 +44,8 @@ struct Row {
     bound_sq: f64,
 }
 
-fn run(shards: usize, fanout: usize, window: usize, b: usize, eps: f64) -> Row {
-    let mut builder = ShardedFixedWindow::builder(shards, window, b, eps);
-    if fanout > 0 {
-        builder = builder.gather_fanout(fanout);
-    }
-    let fleet = builder.build().expect("valid config");
+fn run(shards: usize, window: usize, b: usize, eps: f64) -> Row {
+    let fleet = ShardedFixedWindow::new(shards, window, b, eps);
 
     // Fill every window twice over so the fleet is at steady state.
     let total = shards * window;
@@ -60,11 +54,10 @@ fn run(shards: usize, fanout: usize, window: usize, b: usize, eps: f64) -> Row {
     let _ = fleet.snapshot_global().expect("fleet healthy"); // warm-up build
 
     // Latency: invalidate with a small slab, drain it behind a per-shard
-    // barrier (pushes are queued asynchronously — an undrained slab is
-    // not yet absorbed, so the cached view would still be current and the
-    // gather would be skipped), then time the global gather. The barrier
-    // also materializes each shard's histogram, so the sample isolates
-    // the merge tree.
+    // barrier, then time the global gather. The slab alone forces the
+    // cache miss; the barrier materializes each shard's histogram first,
+    // so the sample isolates the scatter round trip and the merge from
+    // the shard builds.
     let iters = if full_scale() { 20 } else { 5 };
     let slab = utilization_trace(shards, 7);
     let mut secs = 0.0;
@@ -102,7 +95,6 @@ fn run(shards: usize, fanout: usize, window: usize, b: usize, eps: f64) -> Row {
     let bound = gather_term.sqrt() + (1.0 + eps).sqrt() * (gather_term.sqrt() + opt.sqrt());
     Row {
         shards,
-        fanout,
         points: u.len(),
         snapshot_secs,
         merges,
@@ -116,26 +108,22 @@ fn run(shards: usize, fanout: usize, window: usize, b: usize, eps: f64) -> Row {
 fn to_json(rows: &[Row], window: usize, b: usize, eps: f64) -> String {
     let mut out = String::new();
     out.push_str("{\n");
+    // The scatter runs shard builds concurrently, so snapshot latency
+    // depends on the core count: record it with the numbers.
+    let cores = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
     let _ = writeln!(
         out,
-        "  \"config\": {{\"window_per_shard\": {window}, \"b\": {b}, \"eps\": {eps}}},"
+        "  \"config\": {{\"window_per_shard\": {window}, \"b\": {b}, \"eps\": {eps}, \
+         \"available_parallelism\": {cores}}},"
     );
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"shards\": {}, \"gather_fanout\": {}, \"points\": {}, \
+            "    {{\"shards\": {}, \"points\": {}, \
              \"snapshot_secs\": {:.6}, \"merges\": {}, \"sse\": {:.6}, \
              \"gather_term\": {:.6}, \"optimal_sse\": {:.6}, \"bound\": {:.6}}}",
-            r.shards,
-            r.fanout,
-            r.points,
-            r.snapshot_secs,
-            r.merges,
-            r.sse,
-            r.gather_term,
-            r.opt,
-            r.bound_sq
+            r.shards, r.points, r.snapshot_secs, r.merges, r.sse, r.gather_term, r.opt, r.bound_sq
         );
         out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
     }
@@ -149,23 +137,22 @@ fn main() {
 
     println!("BENCH-MERGE: window/shard {window}, B {b}, eps {eps}\n");
     println!(
-        "{:>7} {:>7} {:>8} {:>13} {:>7} {:>12} {:>12} {:>12}",
-        "shards", "fanout", "points", "snapshot_s", "merges", "sse", "optimal", "bound"
+        "{:>7} {:>8} {:>13} {:>7} {:>12} {:>12} {:>12}",
+        "shards", "points", "snapshot_s", "merges", "sse", "optimal", "bound"
     );
 
-    let configs = [(1usize, 0usize), (4, 0), (16, 0), (16, 4)];
-    let mut rows = Vec::new();
-    for (shards, fanout) in configs {
-        rows.push(run(shards, fanout, window, b, eps));
-    }
+    let rows: Vec<Row> = [1usize, 4, 16]
+        .into_iter()
+        .map(|shards| run(shards, window, b, eps))
+        .collect();
     for r in &rows {
         println!(
-            "{:>7} {:>7} {:>8} {:>13.6} {:>7} {:>12.3} {:>12.3} {:>12.3}",
-            r.shards, r.fanout, r.points, r.snapshot_secs, r.merges, r.sse, r.opt, r.bound_sq
+            "{:>7} {:>8} {:>13.6} {:>7} {:>12.3} {:>12.3} {:>12.3}",
+            r.shards, r.points, r.snapshot_secs, r.merges, r.sse, r.opt, r.bound_sq
         );
         println!(
-            "csv,{},{},{},{:.6},{},{:.6},{:.6},{:.6}",
-            r.shards, r.fanout, r.points, r.snapshot_secs, r.merges, r.sse, r.opt, r.bound_sq
+            "csv,{},{},{:.6},{},{:.6},{:.6},{:.6}",
+            r.shards, r.points, r.snapshot_secs, r.merges, r.sse, r.opt, r.bound_sq
         );
     }
 
@@ -178,10 +165,9 @@ fn main() {
     for r in &rows {
         assert!(
             r.sse.sqrt() <= r.bound_sq.sqrt() + 1e-6,
-            "{} shards (fanout {}): global SSE {:.6} exceeds the \
+            "{} shards: global SSE {:.6} exceeds the \
              documented gather bound {:.6} (G {:.6}, OPT {:.6})",
             r.shards,
-            r.fanout,
             r.sse,
             r.bound_sq,
             r.gather_term,

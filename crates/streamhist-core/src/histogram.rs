@@ -308,7 +308,7 @@ impl Histogram {
 /// `a`'s, shifting their indices by `a`'s domain length. The result is the
 /// histogram of the concatenated sequence `a ++ b` with **no** information
 /// loss (the bucket count grows to `a.B + b.B`; re-optimizing the merged
-/// bucket list back down to a budget `B` is the job of the kernel-backed
+/// bucket list back down to a budget `B` is the job of the exact run-level
 /// `merge_histograms` in `streamhist-stream`, see DESIGN.md §7).
 ///
 /// `Histogram` carries no tunable configuration, so merging never rejects:

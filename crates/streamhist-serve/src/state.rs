@@ -4,9 +4,9 @@
 //! Index-domain verbs (`range_sum` / `range_avg` / `point` /
 //! `range_count`) are answered against the fleet-global gathered snapshot
 //! ([`FleetHandle::snapshot_global`]), so their staleness contract is the
-//! fleet's: the snapshot reflects every record the workers had *accepted*
-//! when the gather barrier ran, and generation caching means repeated
-//! queries between ingests are free. Value-domain verbs (`quantile` /
+//! fleet's: the snapshot reflects every record whose ingest call returned
+//! before the query began, and generation caching means repeated queries
+//! between ingests are free. Value-domain verbs (`quantile` /
 //! `selectivity`) are answered from serve-side sketches (a
 //! [`GkSummary`] and an [`MrlSummary`]) fed by this state's own ingest
 //! helpers — the positional histogram cannot answer them, and the paper's

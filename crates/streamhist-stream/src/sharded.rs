@@ -62,7 +62,7 @@ use crate::merge::merge_histograms;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -286,12 +286,9 @@ pub struct ShardMetrics {
 /// is built with a registry attached.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeMetrics {
-    /// Histogram merges run by global-snapshot gathers: one per gather in
-    /// flat mode, one per group plus one final in
-    /// [`gather_fanout`](ShardedFixedWindowBuilder::gather_fanout) mode.
+    /// Histogram merges run by global-snapshot gathers: one per gather.
     pub merges: u64,
-    /// Buckets fed into those merges (per-shard snapshot buckets, plus
-    /// intermediate buckets in fanout mode).
+    /// Buckets fed into those merges (the per-shard snapshot buckets).
     pub merge_buckets_in: u64,
     /// Buckets the merges produced (each output is at most `B` wide).
     pub merge_buckets_out: u64,
@@ -326,7 +323,7 @@ impl MergeMetricsInner {
         Self {
             merges: registry.counter_with(
                 "streamhist_fleet_merges_total",
-                "Histogram merges run by global-snapshot gathers (group and final stages).",
+                "Histogram merges run by global-snapshot gathers (one per gather).",
                 labels,
             ),
             buckets_in: registry.counter_with(
@@ -369,12 +366,13 @@ impl MergeMetricsInner {
     ///
     /// `shard_herror_sum` is `G`, the summed per-shard `KernelStats.herror`
     /// captured at each shard's snapshot barrier; `merged_herror` is `H`,
-    /// the final merge's own `HERROR` over its (bucketized) input. The SSE
+    /// the merge's own `HERROR` over its (bucketized) input. The SSE
     /// estimate composes them as `(√H + √G)²` (triangle inequality in the
     /// L2 norm: the fleet's residual is the shards' residual plus the
     /// merge's). The §7 bound `(√G + √(1+ε)·(√G + √OPT_B))²` is evaluated
     /// with the conservative substitution `OPT_B ≥ H/(1+ε)` (the merge is
-    /// `(1+ε)`-optimal over its input), which makes
+    /// exact, `H = OPT_B` of its input, so this holds with room), which
+    /// makes
     /// `bound = (√G + √(1+ε)·√G + √H)² ≥ estimate` — the published ratio
     /// is ≤ 1 identically, and strictly below 1 whenever the shards carry
     /// any residual error.
@@ -421,6 +419,13 @@ struct MetricsInner {
     checkpoint_bytes: Counter,
     restores: Counter,
     queue_depth: Gauge,
+    /// Data commands (`Push`/`PushBatch`) enqueued but not yet applied by
+    /// the worker. Producers increment before sending; the worker
+    /// decrements with `Release` *after* applying, so a reader that
+    /// `Acquire`-loads zero also sees every counter bump those commands
+    /// made. The snapshot cache serves a hit only at zero on every shard.
+    /// Not exported: `queue_depth` is the operator-facing gauge.
+    unapplied: AtomicU64,
     /// Per-fleet latency recorders (queue wait, checkpoint encode,
     /// restore, scatter), present only when tracing is compiled in *and*
     /// a registry is attached. Shared by every shard of the fleet.
@@ -475,6 +480,7 @@ impl MetricsInner {
                 "Commands currently enqueued (or in flight) to the worker.",
                 labels,
             ),
+            unapplied: AtomicU64::new(0),
             #[cfg(feature = "obs")]
             timing: None,
         }
@@ -543,6 +549,10 @@ fn checkpoint_now(
     frame
 }
 
+/// A snapshot reply: the histogram, its kernel stats, and the shard's
+/// `pushes_accepted` as read on the worker thread at serve time.
+type ShardReply = (Arc<Histogram>, KernelStats, u64);
+
 enum Cmd {
     Push(f64),
     PushBatch(Vec<f64>),
@@ -551,7 +561,7 @@ enum Cmd {
     /// worker is the counter's only writer, so the count is *exactly* the
     /// number of records inside the returned histogram (the per-shard
     /// generation the global snapshot cache keys by).
-    Snapshot(Sender<(Arc<Histogram>, KernelStats, u64)>),
+    Snapshot(Sender<ShardReply>),
     /// Take a checkpoint right now (after everything queued before it) and
     /// reply with the encoded frame plus the summary's `total_pushed` (the
     /// frame's store sequence number) — the building block of
@@ -637,9 +647,6 @@ pub struct ShardedFixedWindow {
     /// Rotating start shard for [`push_batch_scatter`](Self::push_batch_scatter),
     /// so successive scattered slabs do not all lead with shard 0.
     scatter_cursor: AtomicUsize,
-    /// Group size for two-level global gathers; `None` merges every shard
-    /// snapshot in one flat pass.
-    gather_fanout: Option<usize>,
     /// Generation-keyed cache of the last merged global snapshot, keyed by
     /// [`global_generation`](Self::global_generation).
     global_cache: SnapshotCache,
@@ -720,7 +727,6 @@ impl ShardedFixedWindow {
             options: ShardedOptions::default(),
             registry: None,
             fleet: None,
-            gather_fanout: None,
             durability: None,
             recorder: None,
             #[cfg(feature = "obs")]
@@ -761,6 +767,7 @@ impl ShardedFixedWindow {
             let mut since_checkpoint = 0usize;
             while let Ok(env) = rx.recv() {
                 metrics.queue_depth.dec();
+                let data = matches!(env.cmd, Cmd::Push(_) | Cmd::PushBatch(_));
                 #[cfg(feature = "obs")]
                 if let (Some(t), Some(sent_at)) = (&metrics.timing, env.sent_at) {
                     t.queue_wait.record(sent_at.elapsed());
@@ -818,6 +825,9 @@ impl ShardedFixedWindow {
                         let _ = reply.send(());
                     }
                 }
+                if data {
+                    metrics.unapplied.fetch_sub(1, Ordering::Release);
+                }
                 if since_checkpoint >= interval {
                     let frame = checkpoint_now(&fw, &metrics, &slot);
                     since_checkpoint = 0;
@@ -866,22 +876,24 @@ impl ShardedFixedWindow {
         (mixed % self.shards.len() as u64) as usize
     }
 
-    /// Enqueues a command, maintaining the depth gauge and applying the
-    /// overload policy (`records` is what `records_dropped` grows by if
-    /// the command is shed).
+    /// Enqueues a data command, maintaining the depth gauge and the
+    /// unapplied count and applying the overload policy (`records` is what
+    /// `records_dropped` grows by if the command is shed).
     fn send(&self, shard: usize, cmd: Cmd, records: u64) -> Result<(), ShardError> {
         let s = &self.shards[shard];
         let env = s.metrics.envelope(cmd);
         // Increment before the send so the worker's decrement (which can
         // race ahead of this thread the instant the send lands) never
-        // drives the gauge negative for long.
+        // drives the counts negative for long.
         s.metrics.queue_depth.inc();
+        s.metrics.unapplied.fetch_add(1, Ordering::Relaxed);
         let undeliverable = match self.options.policy {
             OverloadPolicy::Block => s.sender.send(env).is_err(),
             OverloadPolicy::DropNewest => match s.sender.try_send(env) {
                 Ok(()) => false,
                 Err(TrySendError::Full(_)) => {
                     s.metrics.queue_depth.dec();
+                    s.metrics.unapplied.fetch_sub(1, Ordering::Relaxed);
                     // Log-sampled flight-recorder event: one record per
                     // power-of-two cumulative drop count, so a sustained
                     // overload cannot flood the ring while the first shed
@@ -908,6 +920,7 @@ impl ShardedFixedWindow {
         };
         if undeliverable {
             s.metrics.queue_depth.dec();
+            s.metrics.unapplied.fetch_sub(1, Ordering::Relaxed);
             return Err(ShardError { shard });
         }
         Ok(())
@@ -1023,17 +1036,17 @@ impl ShardedFixedWindow {
     ///
     /// Panics if `shard` is out of range.
     pub fn snapshot(&self, shard: usize) -> Result<(Arc<Histogram>, KernelStats), ShardError> {
-        self.snapshot_with_gen(shard)
+        self.request_snapshot(shard)
+            .and_then(|reply| reply.recv().map_err(|_| ShardError { shard }))
             .map(|(h, stats, _)| (h, stats))
     }
 
-    /// [`snapshot`](Self::snapshot) plus the shard's accepted-record count
-    /// as observed by the worker at serve time (exactly the records inside
-    /// the returned histogram).
-    fn snapshot_with_gen(
-        &self,
-        shard: usize,
-    ) -> Result<(Arc<Histogram>, KernelStats, u64), ShardError> {
+    /// Enqueues a snapshot request on shard `shard` and returns the reply
+    /// channel without waiting. The reply carries the histogram, its
+    /// kernel stats, and the shard's accepted-record count as observed by
+    /// the worker at serve time (exactly the records inside the
+    /// histogram).
+    fn request_snapshot(&self, shard: usize) -> Result<Receiver<ShardReply>, ShardError> {
         let s = &self.shards[shard];
         let (reply_tx, reply_rx) = channel();
         let env = s.metrics.envelope(Cmd::Snapshot(reply_tx));
@@ -1042,14 +1055,33 @@ impl ShardedFixedWindow {
             s.metrics.queue_depth.dec();
             return Err(ShardError { shard });
         }
-        reply_rx.recv().map_err(|_| ShardError { shard })
+        Ok(reply_rx)
     }
 
-    /// Snapshots every shard, in shard order. Dead shards yield their
-    /// `Err` entry without disturbing the others.
+    /// The concurrent scatter behind every multi-shard snapshot: sends
+    /// each shard its snapshot request first, so all workers build at
+    /// once, then yields the replies lazily in shard order. A gather
+    /// costs about the slowest shard's build, not the sum. Dropping the
+    /// iterator early abandons the remaining replies; their workers still
+    /// serve the request (and leave their queue depth at zero), the reply
+    /// just goes nowhere.
+    fn scatter_snapshots(&self) -> impl Iterator<Item = Result<ShardReply, ShardError>> + '_ {
+        let pending: Vec<_> = (0..self.shards())
+            .map(|shard| self.request_snapshot(shard))
+            .collect();
+        pending
+            .into_iter()
+            .enumerate()
+            .map(|(shard, reply)| reply.and_then(|rx| rx.recv().map_err(|_| ShardError { shard })))
+    }
+
+    /// Snapshots every shard concurrently, returned in shard order. Dead
+    /// shards yield their `Err` entry without disturbing the others.
     #[must_use]
     pub fn snapshot_all(&self) -> Vec<Result<(Arc<Histogram>, KernelStats), ShardError>> {
-        (0..self.shards()).map(|s| self.snapshot(s)).collect()
+        self.scatter_snapshots()
+            .map(|reply| reply.map(|(h, stats, _)| (h, stats)))
+            .collect()
     }
 
     /// Liveness probe: `true` iff the shard's worker dequeued and answered
@@ -1121,35 +1153,45 @@ impl ShardedFixedWindow {
     /// scatter/gather snapshot of everything the fleet currently holds,
     /// with the shard windows concatenated in shard order.
     ///
-    /// Each per-shard snapshot is a barrier for that shard (everything
-    /// enqueued to it before this call is absorbed first); the gathered
-    /// parts are then merged through [`merge_histograms`] — in one flat
-    /// pass, or through a two-level aggregation tree when the fleet was
-    /// built with
-    /// [`gather_fanout`](ShardedFixedWindowBuilder::gather_fanout). The
-    /// result is cached under the fleet's state generation: calling again
-    /// with no intervening absorbed record, respawn, or restore returns
-    /// the same [`Arc`] without any cross-shard traffic (and without the
-    /// per-shard barriers — a cache hit is a point-in-time view, not a
-    /// flush). The returned [`KernelStats`] carry the final merge's state
-    /// with work counters accumulated across every merge stage.
+    /// Every shard is sent its snapshot request before any reply is
+    /// awaited, so the shards build concurrently; each request is a
+    /// barrier for that shard (everything enqueued to it before this call
+    /// is absorbed first). The gathered parts are then merged in one flat
+    /// [`merge_histograms`] call, which returns the exact V-optimal
+    /// `B`-histogram of their concatenation. The result is cached under
+    /// the fleet's state generation: calling again with no record
+    /// enqueued or absorbed since, and no respawn or restore, returns the
+    /// same [`Arc`] without any cross-shard traffic. A hit requires every
+    /// shard's queue to hold no unapplied `push`/`push_batch`, so a
+    /// snapshot taken after an acknowledged ingest call always includes
+    /// that ingest. The returned [`KernelStats`] are the merge's.
     ///
     /// The merged histogram obeys the DESIGN.md §7 gather bound:
     /// `√SSE ≤ √G + √(1+ε)·(√G + √OPT_B)` over the concatenated fleet
-    /// window, where `G` is the summed per-shard SSE (each extra tree
-    /// level in fanout mode composes the bound once more).
+    /// window, where `G` is the summed per-shard SSE.
     ///
     /// # Errors
     ///
-    /// Returns the first [`ShardError`] if any worker has died — a global
-    /// snapshot is all shards or nothing (respawn the dead shard first).
+    /// Returns the lowest dead shard's [`ShardError`] if any worker has
+    /// died — a global snapshot is all shards or nothing (respawn the
+    /// dead shard first).
     pub fn snapshot_global(&self) -> Result<(Arc<Histogram>, KernelStats), ShardError> {
-        // Hit path: if the live counters still sum to the cached build's
-        // key, nothing has been absorbed (or respawned/restored) since
-        // that build — it is current, serve it without touching a shard.
-        if let Some(hit) = self.global_cache.try_get(self.global_generation()) {
-            self.merge_metrics.cache_hits.inc();
-            return Ok(hit);
+        // Hit path: no shard holds an unapplied data command, and the live
+        // counters still sum to the cached build's key, so nothing has
+        // been enqueued, absorbed, respawned or restored since that build
+        // — it is current, serve it without touching a shard. The
+        // `Acquire` loads pair with the workers' `Release` decrements and
+        // come first, so the counter reads below see every record the
+        // drained commands carried.
+        let drained = self
+            .shards
+            .iter()
+            .all(|s| s.metrics.unapplied.load(Ordering::Acquire) == 0);
+        if drained {
+            if let Some(hit) = self.global_cache.try_get(self.global_generation()) {
+                self.merge_metrics.cache_hits.inc();
+                return Ok(hit);
+            }
         }
         #[cfg(feature = "obs")]
         let merge_start = self.shards[0]
@@ -1166,9 +1208,10 @@ impl ShardedFixedWindow {
         // never staler).
         let mut generation = self.epoch_perturbation();
         let mut shard_herror_sum = 0.0f64;
-        let snaps = (0..self.shards())
-            .map(|s| {
-                self.snapshot_with_gen(s).map(|(h, stats, gen)| {
+        let snaps = self
+            .scatter_snapshots()
+            .map(|reply| {
+                reply.map(|(h, stats, gen)| {
                     generation = generation.wrapping_add(gen);
                     // `G` of the §7 gather bound: the summed per-shard
                     // residual, captured at each shard's barrier.
@@ -1196,9 +1239,9 @@ impl ShardedFixedWindow {
     /// all shards or nothing) with a complete coverage report whose record
     /// counts are the live accepted counters at call time.
     ///
-    /// Under [`SnapshotPolicy::Degraded`] the gather snapshots each shard
-    /// independently, skips the ones whose workers are dead, and merges
-    /// the rest. `records_represented` sums the included shards'
+    /// Under [`SnapshotPolicy::Degraded`] the gather runs the same
+    /// concurrent scatter, skips the shards whose workers are dead, and
+    /// merges the rest. `records_represented` sums the included shards'
     /// worker-reported counts (read at each shard's snapshot barrier);
     /// `records_total` adds the excluded shards' last counter values — a
     /// dead worker's counter is exact, it has no writer left. The degraded
@@ -1241,8 +1284,8 @@ impl ShardedFixedWindow {
         };
         let mut first_excluded: Option<usize> = None;
         let mut shard_herror_sum = 0.0f64;
-        for shard in 0..self.shards() {
-            match self.snapshot_with_gen(shard) {
+        for (shard, reply) in self.scatter_snapshots().enumerate() {
+            match reply {
                 Ok((h, stats, gen)) => {
                     coverage.shards_included += 1;
                     coverage.records_represented += gen;
@@ -1279,33 +1322,9 @@ impl ShardedFixedWindow {
         Ok((Arc::new(hist), stats, coverage))
     }
 
-    /// Merges the gathered per-shard parts down to `B` buckets, flat or
-    /// through one intermediate tree level per
-    /// [`gather_fanout`](ShardedFixedWindowBuilder::gather_fanout) group.
+    /// Merges the gathered per-shard parts down to `B` buckets, with
+    /// bucket-flow accounting.
     fn gather(&self, parts: &[&Histogram]) -> (Histogram, KernelStats) {
-        match self.gather_fanout {
-            Some(fanout) if parts.len() > fanout => {
-                let groups: Vec<(Histogram, KernelStats)> = parts
-                    .chunks(fanout)
-                    .map(|group| self.merge_group(group))
-                    .collect();
-                let tops: Vec<&Histogram> = groups.iter().map(|(h, _)| h).collect();
-                let (h, mut stats) = self.merge_group(&tops);
-                // State-style fields (herror, queue sizes, arena occupancy)
-                // describe the final merge; work counters accumulate over
-                // every stage so the gather's total cost is visible.
-                for (_, gs) in &groups {
-                    stats.herror_evals += gs.herror_evals;
-                    stats.binary_searches += gs.binary_searches;
-                }
-                (h, stats)
-            }
-            _ => self.merge_group(parts),
-        }
-    }
-
-    /// One merge stage, with bucket-flow accounting.
-    fn merge_group(&self, parts: &[&Histogram]) -> (Histogram, KernelStats) {
         self.merge_metrics.merges.inc();
         self.merge_metrics
             .buckets_in
@@ -1384,7 +1403,8 @@ impl ShardedFixedWindow {
     /// Spawns a replacement worker on shard `shard` seeded with `seed`,
     /// refreshing the checkpoint slot to `frame` (the encoding of `seed`)
     /// so per-epoch loss accounting restarts from the seed state, and
-    /// resetting the queue-depth gauge for the new (empty) queue.
+    /// resetting the queue-depth gauge and unapplied count for the new
+    /// (empty) queue.
     fn install_worker(&mut self, shard: usize, seed: FixedWindowHistogram, frame: Vec<u8>) {
         let metrics = Arc::clone(&self.shards[shard].metrics);
         let slot = Arc::clone(&self.shards[shard].checkpoint);
@@ -1406,6 +1426,7 @@ impl ShardedFixedWindow {
         self.shards[shard].sender = sender;
         self.shards[shard].handle = Some(handle);
         metrics.queue_depth.set(0);
+        metrics.unapplied.store(0, Ordering::Relaxed);
     }
 
     /// A fresh per-shard WAL buffer starting at sequence `base`, or `None`
@@ -1784,7 +1805,6 @@ pub struct ShardedFixedWindowBuilder {
     options: ShardedOptions,
     registry: Option<Arc<MetricsRegistry>>,
     fleet: Option<String>,
-    gather_fanout: Option<usize>,
     durability: Option<DurabilityOptions>,
     recorder: Option<Arc<FlightRecorder>>,
     #[cfg(feature = "obs")]
@@ -1839,21 +1859,6 @@ impl ShardedFixedWindowBuilder {
     #[must_use]
     pub fn options(mut self, options: ShardedOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Makes [`ShardedFixedWindow::snapshot_global`] gather through a
-    /// two-level aggregation tree: shard snapshots are merged in groups of
-    /// `fanout`, then the group results are merged once more. Every merge
-    /// re-optimizes to `B` buckets, so the tree bounds each merge's input
-    /// to `fanout · B` buckets regardless of fleet width — the flat gather
-    /// re-optimizes over all `K · B` at once. The extra level composes the
-    /// DESIGN.md §7 error bound one more time (a wider but still bounded
-    /// gather term). Must be at least 2; fleets no wider than `fanout`
-    /// gather flat.
-    #[must_use]
-    pub fn gather_fanout(mut self, fanout: usize) -> Self {
-        self.gather_fanout = Some(fanout);
         self
     }
 
@@ -1929,12 +1934,6 @@ impl ShardedFixedWindowBuilder {
                 message: "checkpoint interval must be positive",
             });
         }
-        if self.gather_fanout.is_some_and(|f| f < 2) {
-            return Err(StreamhistError::InvalidParameter {
-                param: "gather_fanout",
-                message: "aggregation-tree fanout must be at least 2",
-            });
-        }
         if let Some(d) = &self.durability {
             if d.wal_sync == 0 {
                 return Err(StreamhistError::InvalidParameter {
@@ -1994,7 +1993,6 @@ impl ShardedFixedWindowBuilder {
             eps: self.eps,
             options: self.options,
             scatter_cursor: AtomicUsize::new(0),
-            gather_fanout: self.gather_fanout,
             global_cache: SnapshotCache::default(),
             merge_metrics,
             recorder,
@@ -2444,36 +2442,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_fanout_builds_a_two_level_tree_with_the_same_window() {
-        let shards = 4;
-        let build = |fanout: Option<usize>| {
-            let mut b = ShardedFixedWindow::builder(shards, 64, 3, 0.1);
-            if let Some(f) = fanout {
-                b = b.gather_fanout(f);
-            }
-            let fleet = b.build().expect("valid");
-            for s in 0..shards {
-                let stream: Vec<f64> = (0..40).map(|i| ((i * 5 + s * 13) % 23) as f64).collect();
-                fleet.push_batch(s, stream).expect("alive");
-            }
-            fleet
-        };
-        let flat = build(None);
-        let tree = build(Some(2));
-        let (hf, _) = flat.snapshot_global().expect("healthy");
-        let (ht, _) = tree.snapshot_global().expect("healthy");
-        // Same domain, same budget; bucket boundaries may differ (the tree
-        // re-optimizes twice).
-        assert_eq!(hf.domain_len(), ht.domain_len());
-        assert!(ht.num_buckets() <= 3);
-        // 4 shards at fanout 2: two group merges plus the final one.
-        assert_eq!(tree.merge_metrics().merges, 3);
-        assert_eq!(flat.merge_metrics().merges, 1);
-        let _ = flat.join();
-        let _ = tree.join();
-    }
-
-    #[test]
     fn global_snapshot_on_a_dead_shard_is_an_error() {
         let mut sharded = ShardedFixedWindow::new(2, 8, 2, 0.5);
         sharded.push_to(0, 1.0).expect("alive");
@@ -2490,21 +2458,89 @@ mod tests {
     }
 
     #[test]
-    fn gather_fanout_must_be_at_least_two() {
-        assert!(matches!(
-            ShardedFixedWindow::builder(2, 8, 2, 0.5)
-                .gather_fanout(1)
-                .build(),
-            Err(StreamhistError::InvalidParameter {
-                param: "gather_fanout",
-                ..
-            })
-        ));
-        let ok = ShardedFixedWindow::builder(2, 8, 2, 0.5)
-            .gather_fanout(2)
-            .build()
-            .expect("valid fanout");
-        let _ = ok.join();
+    fn global_snapshot_after_an_acknowledged_ingest_is_never_stale() {
+        // Each round overwrites both windows with a constant slab `r`; once
+        // `push_batch_scatter` returns, the global snapshot must answer `r`
+        // even though the slab may still sit in the shard queues.
+        let (shards, capacity) = (2, 16);
+        let sharded = ShardedFixedWindow::new(shards, capacity, 4, 0.1);
+        let mut stale = 0;
+        for round in 0..200u32 {
+            let r = f64::from(round);
+            sharded
+                .push_batch_scatter(&vec![r; shards * capacity])
+                .expect("alive");
+            let (h, _) = sharded.snapshot_global().expect("healthy");
+            if h.point(0) != r {
+                stale += 1;
+            }
+        }
+        assert_eq!(stale, 0, "stale global snapshots in 200 rounds");
+        let _ = sharded.join();
+    }
+
+    #[test]
+    fn strict_scatter_names_the_lowest_dead_shard_and_drains_the_live_ones() {
+        for dead in [vec![0], vec![2], vec![1, 3]] {
+            let sharded = ShardedFixedWindow::new(4, 16, 2, 0.5);
+            for s in 0..4 {
+                sharded.push_batch(s, vec![1.0, 2.0, 3.0]).expect("alive");
+            }
+            for &k in &dead {
+                sharded.inject_worker_panic(k).expect("alive");
+                assert!(!sharded.ping(k, Duration::from_secs(5)), "worker is dead");
+            }
+            assert_eq!(
+                sharded.snapshot_global().map(|_| ()),
+                Err(ShardError { shard: dead[0] }),
+                "dead shards {dead:?}"
+            );
+            // Live shards past the dead one had their replies dropped; a
+            // barrier shows each still drained its queue completely.
+            for s in (0..4).filter(|s| !dead.contains(s)) {
+                let _ = sharded.snapshot(s).expect("alive");
+                assert_eq!(sharded.metrics(s).queue_depth, 0, "shard {s} drained");
+            }
+            let _ = sharded.join();
+        }
+    }
+
+    #[test]
+    fn degraded_scatter_matches_a_per_shard_gather_exactly() {
+        let sharded = ShardedFixedWindow::new(4, 16, 3, 0.5);
+        for s in 0..4usize {
+            let values = (0..5 + 3 * s).map(|i| ((i * 7 + s) % 11) as f64).collect();
+            sharded.push_batch(s, values).expect("alive");
+        }
+        for k in [1, 3] {
+            sharded.inject_worker_panic(k).expect("alive");
+            assert!(!sharded.ping(k, Duration::from_secs(5)), "worker is dead");
+        }
+        let (hist, _, coverage) = sharded
+            .snapshot_global_with(SnapshotPolicy::Degraded { min_coverage: 0.0 })
+            .expect("two shards answer");
+        // The same gather done one shard at a time.
+        let mut expected = Coverage {
+            shards_included: 0,
+            shards_total: 4,
+            records_represented: 0,
+            records_total: 0,
+        };
+        let mut parts = Vec::new();
+        for s in 0..4 {
+            let accepted = sharded.metrics(s).pushes_accepted;
+            expected.records_total += accepted;
+            if let Ok((h, _)) = sharded.snapshot(s) {
+                expected.shards_included += 1;
+                expected.records_represented += accepted;
+                parts.push(h);
+            }
+        }
+        assert_eq!(coverage, expected);
+        let refs: Vec<&Histogram> = parts.iter().map(AsRef::as_ref).collect();
+        let (direct, _) = merge_histograms(&refs, 3, 0.5).expect("valid");
+        assert_eq!(*hist, direct);
+        let _ = sharded.join();
     }
 
     #[test]

@@ -20,8 +20,9 @@
 use proptest::prelude::*;
 use streamhist::freq::FrequencyVector;
 use streamhist::{
-    optimal_sse, DynamicWavelet, FixedWindowHistogram, GkSummary, MergeableSummary,
-    QuantileSummary, StreamhistError, TimeWindowHistogram, WaveletSynopsis,
+    merge_histograms, optimal_sse, Bucket, DynamicWavelet, FixedWindowHistogram, GkSummary,
+    Histogram, MergeableSummary, QuantileSummary, StreamhistError, TimeWindowHistogram,
+    WaveletSynopsis,
 };
 
 fn exact_rank(sorted: &[f64], v: f64) -> usize {
@@ -62,8 +63,51 @@ fn partition(data: &[f64], k: usize) -> Vec<&[f64]> {
     out
 }
 
+/// A histogram from `(run length, height)` pairs laid end to end.
+fn runs_histogram(runs: &[(usize, i64)]) -> Histogram {
+    let mut start = 0;
+    let buckets = runs
+        .iter()
+        .map(|&(len, height)| {
+            let b = Bucket::new(start, start + len - 1, height as f64 * 1.5 - 3.0);
+            start += len;
+            b
+        })
+        .collect();
+    Histogram::new(start, buckets).expect("runs tile the domain")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The gather merge is exact: over any concatenation of parts (1-point
+    /// buckets, equal adjacent heights, budgets on both sides of the run
+    /// count `m`), it returns an optimal `b`-histogram of the expansion
+    /// `û`, reports that histogram's SSE as its `herror`, and stays
+    /// within budget.
+    #[test]
+    fn gather_merge_equals_the_optimum_of_the_expansion(
+        parts in prop::collection::vec(
+            prop::collection::vec((1usize..4, 0..5i64), 1..8),
+            1..7,
+        ),
+        b in 1usize..14,
+    ) {
+        let parts: Vec<Histogram> = parts.iter().map(|runs| runs_histogram(runs)).collect();
+        let refs: Vec<&Histogram> = parts.iter().collect();
+        let (h, stats) = merge_histograms(&refs, b, 0.1).expect("valid");
+        let expansion: Vec<f64> = parts.iter().flat_map(Histogram::expand).collect();
+        prop_assert_eq!(h.domain_len(), expansion.len());
+        prop_assert!(h.num_buckets() <= b, "{} buckets > b = {}", h.num_buckets(), b);
+        let sse = h.sse(&expansion);
+        let opt = optimal_sse(&expansion, b);
+        let tol = 1e-9 * opt.max(1.0);
+        prop_assert!((sse - opt).abs() <= tol, "merged SSE {} != OPT_b(û) {}", sse, opt);
+        prop_assert!(
+            (stats.herror - sse).abs() <= tol,
+            "reported herror {} != realized SSE {}", stats.herror, sse
+        );
+    }
 
     /// GK: merging per-partition summaries answers rank queries within
     /// `εN` over the union — rank errors add across the merge (§6), they
