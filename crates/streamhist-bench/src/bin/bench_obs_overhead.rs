@@ -13,10 +13,10 @@
 //!   binary was compiled with;
 //! * `obs_off` — registry attached, compiled WITHOUT `--features obs`
 //!   (the production default). Guarded: must stay within
-//!   [`MAX_REGRESSION`] of `baseline` or the bench exits nonzero;
+//!   `MAX_REGRESSION` of `baseline` or the bench exits nonzero;
 //! * `recorder` — registry *and* an explicit [`FlightRecorder`] attached,
 //!   compiled WITHOUT `--features obs`. Guarded: must stay within
-//!   [`MAX_REGRESSION`] of `obs_off`, pinning the flight recorder's
+//!   `MAX_REGRESSION` of `obs_off`, pinning the flight recorder's
 //!   promise that an idle ring (no shard deaths, no overload) costs the
 //!   ingest path nothing beyond noise — the hot path never touches it
 //!   except through the sampled overload probe, which a lossless run

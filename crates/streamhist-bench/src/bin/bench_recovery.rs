@@ -61,11 +61,7 @@ fn main() {
     let store = Arc::new(MemStore::new());
     let fleet = ShardedFixedWindow::builder(shards, window, b, eps)
         .checkpoint_interval(256)
-        .durability(
-            DurabilityOptions::new(Arc::clone(&store) as _)
-                .wal_sync(64)
-                .checkpoint_interval(256),
-        )
+        .durability(DurabilityOptions::new(Arc::clone(&store) as _).wal_sync(64))
         .build()
         .expect("valid durable fleet");
     let handle = FleetHandle::new(fleet);

@@ -4,7 +4,7 @@
 //!
 //! 1. **Correctness gate** — for a sweep of index-domain queries, the
 //!    answer read over the wire must be *bit-identical* to evaluating the
-//!    same [`Query`](streamhist_core::Query) against the in-process
+//!    same [`Query`] against the in-process
 //!    `snapshot_global()` histogram. The wire is transport, not math.
 //! 2. **Load** — `threads` client connections (≥ 4) each issue a paced
 //!    stream of requests (target `qps` per thread) cycling through the

@@ -56,11 +56,8 @@ fn main() {
     let store = Arc::new(DirStore::open(&store_dir).expect("open checkpoint store"));
 
     let fleet = ShardedFixedWindow::builder(shards, capacity, b, eps)
-        .durability(
-            DurabilityOptions::new(Arc::clone(&store) as _)
-                .wal_sync(wal_sync)
-                .checkpoint_interval(checkpoint_interval),
-        )
+        .checkpoint_interval(checkpoint_interval)
+        .durability(DurabilityOptions::new(Arc::clone(&store) as _).wal_sync(wal_sync))
         .build()
         .expect("valid durable fleet");
 

@@ -8,7 +8,7 @@
 //! harnesses.
 //!
 //! [`StreamhistError`] is the recoverable counterpart to the ingestion
-//! asserts: every summary's `push`/`observe` has a `try_` variant that
+//! asserts: every summary's `push`/`push_at` has a `try_` variant that
 //! reports malformed input instead of panicking, which is what lets a
 //! serving deployment (the sharded layer in `streamhist-stream`)
 //! count-and-reject bad records rather than lose a worker.
@@ -19,8 +19,8 @@ use std::fmt;
 /// A recoverable ingestion error: the record was rejected, the summary is
 /// unchanged and remains fully usable.
 ///
-/// Returned by the `try_push`/`try_observe` entry points of the streaming
-/// summaries; the panicking `push`/`observe` wrappers turn it into a panic
+/// Returned by the `try_push`/`try_push_at` entry points of the streaming
+/// summaries; the panicking `push`/`push_at` wrappers turn it into a panic
 /// with the same message.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StreamhistError {

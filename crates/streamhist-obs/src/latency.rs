@@ -2,7 +2,7 @@
 //!
 //! A [`LatencyRecorder`] answers "what were p50/p95/p99 recently?" in
 //! bounded memory by keeping **two rotating
-//! [`GkSummary`](streamhist_quantile::GkSummary) epochs**: samples go
+//! [`GkSummary`] epochs**: samples go
 //! into the *current* epoch, and when it has absorbed `window` samples it
 //! is demoted to *previous* and a fresh epoch starts. Quantile queries
 //! merge both epochs (see [`LatencyRecorder::quantile_ns`]), so answers

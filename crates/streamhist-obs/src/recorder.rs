@@ -18,7 +18,7 @@
 //! Timestamps are coarse (milliseconds since the recorder was created):
 //! events are for reconstructing *what happened in what order*, and the
 //! sequence number — not the clock — is the order witness. The recorder
-//! also feeds a [`RateFamily`](crate::sliding::RateFamily), so the
+//! also feeds a [`RateFamily`], so the
 //! events-per-second rate over sliding windows is available at O(1) words
 //! per window (see [`crate::sliding`]).
 

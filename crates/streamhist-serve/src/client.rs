@@ -409,8 +409,8 @@ impl ServeClient {
         }
     }
 
-    /// Checkpoints the whole fleet server-side; returns the save's size
-    /// in bytes.
+    /// Refreshes every shard's recovery point server-side; returns the
+    /// total size of the checkpoint frames taken, in bytes.
     ///
     /// # Errors
     ///

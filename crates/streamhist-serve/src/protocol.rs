@@ -176,7 +176,8 @@ pub enum Request {
         /// Shard index.
         shard: usize,
     },
-    /// Admin: checkpoint the whole fleet into the server's save slot.
+    /// Admin: refresh every shard's recovery point in place (its
+    /// in-memory slot, and its store on a durable fleet).
     CheckpointAll,
     /// Admin: the fleet's durability (WAL / checkpoint-store) status.
     WalStatus,
@@ -430,7 +431,7 @@ pub enum Response {
     },
     /// Reply to [`Request::CheckpointAll`].
     Checkpointed {
-        /// Size of the fleet save, in bytes.
+        /// Total size of the checkpoint frames taken, in bytes.
         bytes: u64,
     },
     /// Reply to [`Request::WalStatus`].

@@ -15,8 +15,9 @@
 //! Every failure becomes a structured [`WireError`]; nothing a request
 //! can carry reaches a panic. The three load-bearing guards:
 //!
-//! * [`Query::validate`] runs against the snapshot's domain before any
-//!   evaluation (inverted and out-of-domain ranges are data, not bugs);
+//! * [`Query::validate`](streamhist_core::Query::validate) runs against
+//!   the snapshot's domain before any evaluation (inverted and
+//!   out-of-domain ranges are data, not bugs);
 //! * quantile/selectivity arguments are checked (finite, `phi` in
 //!   `[0, 1]`, non-empty sketch) before touching the sketches, whose
 //!   trait methods are allowed to panic on misuse;
@@ -42,18 +43,14 @@ pub const DEFAULT_MRL_K: usize = 64;
 /// server with no supervisor attached.
 const HEALTH_PING_TIMEOUT: Duration = Duration::from_millis(100);
 
-/// Shared server state: the fleet seam, the value-domain sketches, the
-/// checkpoint save slot, and the per-verb telemetry. Cheap to clone
+/// Shared server state: the fleet seam, the value-domain sketches, and
+/// the per-verb telemetry. Cheap to clone
 /// (everything inside is shared).
 #[derive(Clone)]
 pub struct ServeState {
     fleet: FleetHandle,
     gk: Arc<Mutex<GkSummary>>,
     mrl: Arc<Mutex<MrlSummary>>,
-    /// The most recent `checkpoint_all` save, kept in memory so an admin
-    /// client can trigger durability without the server needing
-    /// filesystem access.
-    save: Arc<Mutex<Option<Vec<u8>>>>,
     registry: Arc<MetricsRegistry>,
     /// How histogram verbs gather the fleet-global snapshot. `Strict`
     /// (the default) errors on any dead shard; `Degraded` answers from
@@ -98,7 +95,6 @@ impl ServeState {
             fleet,
             gk: Arc::new(Mutex::new(GkSummary::new(eps))),
             mrl: Arc::new(Mutex::new(MrlSummary::new(k))),
-            save: Arc::new(Mutex::new(None)),
             registry,
             policy: SnapshotPolicy::Strict,
             supervisor: None,
@@ -156,15 +152,6 @@ impl ServeState {
     #[must_use]
     pub fn new_trace(&self) -> u64 {
         self.next_trace.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Bytes of the most recent on-demand checkpoint, if one was taken.
-    #[must_use]
-    pub fn last_checkpoint(&self) -> Option<Vec<u8>> {
-        self.save
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
     }
 
     /// Ingests one keyed record into the fleet *and* the value-domain
@@ -385,11 +372,9 @@ impl ServeState {
             Request::CheckpointAll => {
                 let bytes = self
                     .fleet
-                    .checkpoint_all()
+                    .checkpoint()
                     .map_err(|e| WireError::new(ErrorCode::Internal, e.to_string()))?;
-                let len = bytes.len() as u64;
-                *self.save.lock().unwrap_or_else(PoisonError::into_inner) = Some(bytes);
-                Ok(Response::Checkpointed { bytes: len })
+                Ok(Response::Checkpointed { bytes })
             }
             Request::WalStatus => Ok(Response::WalStatus(self.fleet.wal_status())),
             Request::Health => Ok(self.health()),
@@ -617,10 +602,20 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        let before = state.fleet().metrics_all();
         match state.answer(&Request::CheckpointAll).unwrap() {
             Response::Checkpointed { bytes } => {
                 assert!(bytes > 0);
-                assert_eq!(state.last_checkpoint().unwrap().len() as u64, bytes);
+                let after = state.fleet().metrics_all();
+                for (b, a) in before.iter().zip(&after) {
+                    assert_eq!(a.checkpoints_taken, b.checkpoints_taken + 1);
+                }
+                let taken: u64 = before
+                    .iter()
+                    .zip(&after)
+                    .map(|(b, a)| a.checkpoint_bytes - b.checkpoint_bytes)
+                    .sum();
+                assert_eq!(bytes, taken, "the reply is the frame bytes taken");
             }
             other => panic!("unexpected {other:?}"),
         }

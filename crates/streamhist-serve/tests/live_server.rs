@@ -88,9 +88,19 @@ fn admin_verbs_work_over_the_wire() {
     let (shards, metrics) = client.shard_stats(0).unwrap();
     assert_eq!(shards, 2);
     assert!(metrics.pushes_accepted > 0);
+    let before = state.fleet().metrics_all();
     let bytes = client.checkpoint_all().unwrap();
     assert!(bytes > 0);
-    assert_eq!(state.last_checkpoint().unwrap().len() as u64, bytes);
+    let after = state.fleet().metrics_all();
+    for (b, a) in before.iter().zip(&after) {
+        assert_eq!(a.checkpoints_taken, b.checkpoints_taken + 1);
+    }
+    let taken: u64 = before
+        .iter()
+        .zip(&after)
+        .map(|(b, a)| a.checkpoint_bytes - b.checkpoint_bytes)
+        .sum();
+    assert_eq!(bytes, taken, "the reply is the frame bytes taken");
     let (restored, _lost) = client.respawn_shard(1).unwrap();
     // The fleet checkpoints periodically; the respawned shard restores
     // from whatever its latest checkpoint held (possibly nothing).

@@ -17,7 +17,7 @@
 //! `O((B²/ε) log n)`.
 //!
 //! The queue maintenance and minimization live in the shared
-//! [`crate::kernel`]; this type drives it in online mode over whole-stream
+//! `kernel` module; this type drives it in online mode over whole-stream
 //! running totals.
 
 use crate::kernel::{Kernel, KernelStats, SnapshotCache, StreamTotals};
@@ -284,7 +284,7 @@ impl AgglomerativeHistogram {
 impl Checkpoint for AgglomerativeHistogram {
     /// Serializes the running totals plus the full online-DP state
     /// (queues, boundary-chain arena, work counters) via
-    /// [`Kernel::encode_state`]. The whole-stream recurrence cannot be
+    /// `Kernel::encode_state`. The whole-stream recurrence cannot be
     /// replayed from buffered points — the points are gone — so unlike the
     /// window summaries the DP state itself is the checkpoint payload; the
     /// kernel clones-and-compacts on encode so the frame holds exactly the

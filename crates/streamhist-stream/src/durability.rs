@@ -6,20 +6,25 @@
 //! window size per interval. This module turns that cost into
 //! `O(records since the last frame)`: workers append accepted records to a
 //! per-shard write-ahead log ([`WalSegment`] frames, cut every
-//! [`DurabilityOptions::wal_sync`] records), still cut a full frame every
-//! [`DurabilityOptions::checkpoint_interval`], and a single background
-//! **uploader thread** per fleet drains both to the configured store with
-//! bounded-queue backpressure and capped-backoff retries. When a frame
-//! lands durably, the log it supersedes is truncated.
+//! [`DurabilityOptions::wal_sync`] records), still ship the full frame
+//! they cut every fleet checkpoint interval
+//! ([`ShardedFixedWindowBuilder::checkpoint_interval`]), and a single
+//! background **uploader thread** per fleet drains both to the
+//! configured store with bounded-queue backpressure and capped-backoff
+//! retries. When a frame lands durably, the log it supersedes is
+//! truncated.
+//!
+//! [`ShardedFixedWindowBuilder::checkpoint_interval`]: crate::ShardedFixedWindowBuilder::checkpoint_interval
 //!
 //! Recovery (`respawn_shard` after a worker death, or
 //! `load_from_store`) is *last frame + WAL replay*: restore the newest
 //! frame, then re-push every logged record past it, in order. Frame
-//! restore is bit-identical by the [`Checkpoint`](streamhist_core::Checkpoint)
-//! contract and pushes are bit-deterministic, so the recovered summary is
-//! bit-identical to one that never crashed — only the records accepted
-//! after the last durable segment (strictly fewer than `wal_sync`, absent
-//! drops) can be lost.
+//! restore is bit-identical by the [`Checkpoint`] contract and pushes
+//! are bit-deterministic, so the recovered summary is bit-identical to
+//! one that never crashed — only the records accepted after the last
+//! durable segment (strictly fewer than `wal_sync`, absent drops) can be
+//! lost. Every worker install (respawn or load) re-anchors the store at
+//! its seed, so this holds across handoffs and rewinding loads too.
 //!
 //! Everything here is fleet plumbing: the public surface is
 //! [`DurabilityOptions`] (handed to
@@ -77,14 +82,14 @@ pub(crate) fn with_retry<T>(
     seed: u64,
     op: impl FnMut() -> Result<T, StoreError>,
 ) -> Result<T, StoreError> {
-    with_retry_observed(retries, seed, |_| {}, op)
+    with_retry_notifying(retries, seed, |_| {}, op)
 }
 
 /// [`with_retry`] with a per-retry observer: `on_retry(attempt)` fires
 /// just before each re-attempt (attempt ≥ 1), which is where the uploader
 /// hangs its flight-recorder [`EventKind::UploadRetried`] events — the
 /// counter tells *how many*, the recorder tells *when and which shard*.
-pub(crate) fn with_retry_observed<T>(
+pub(crate) fn with_retry_notifying<T>(
     retries: &Counter,
     seed: u64,
     mut on_retry: impl FnMut(u32),
@@ -111,9 +116,9 @@ pub(crate) fn with_retry_observed<T>(
 /// `ShardedFixedWindow::builder(..).durability(..)`.
 ///
 /// Construct with [`DurabilityOptions::new`] and adjust via the chainable
-/// setters; the defaults (64-record segments, 1024-record frames, a
-/// 256-job upload queue that blocks when full) fit the committed
-/// `BENCH_wal.json` amplification gate.
+/// setters; the defaults (64-record segments, a 256-job upload queue that
+/// blocks when full) fit the committed `BENCH_wal.json` amplification
+/// gate at the fleet's default 1024-record checkpoint interval.
 #[derive(Clone)]
 pub struct DurabilityOptions {
     /// Where frames and WAL segments go.
@@ -123,9 +128,6 @@ pub struct DurabilityOptions {
     /// tighten the crash-loss window; larger values amortize per-segment
     /// envelope overhead. Must be positive. Default 64.
     pub wal_sync: usize,
-    /// Accepted records between full checkpoint frames; each durable frame
-    /// truncates the log it supersedes. Must be positive. Default 1024.
-    pub checkpoint_interval: usize,
     /// Bound of the uploader's job queue (segments + frames). Must be
     /// positive. Default 256.
     pub upload_queue_capacity: usize,
@@ -138,14 +140,13 @@ pub struct DurabilityOptions {
 }
 
 impl DurabilityOptions {
-    /// Defaults over `store`: `wal_sync` 64, `checkpoint_interval` 1024,
-    /// a 256-job upload queue, [`OverloadPolicy::Block`].
+    /// Defaults over `store`: `wal_sync` 64, a 256-job upload queue,
+    /// [`OverloadPolicy::Block`].
     #[must_use]
     pub fn new(store: Arc<dyn CheckpointStore>) -> Self {
         Self {
             store,
             wal_sync: 64,
-            checkpoint_interval: 1024,
             upload_queue_capacity: 256,
             upload_policy: OverloadPolicy::Block,
         }
@@ -155,13 +156,6 @@ impl DurabilityOptions {
     #[must_use]
     pub fn wal_sync(mut self, wal_sync: usize) -> Self {
         self.wal_sync = wal_sync;
-        self
-    }
-
-    /// Overrides the records-per-frame interval.
-    #[must_use]
-    pub fn checkpoint_interval(mut self, checkpoint_interval: usize) -> Self {
-        self.checkpoint_interval = checkpoint_interval;
         self
     }
 
@@ -184,7 +178,6 @@ impl fmt::Debug for DurabilityOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DurabilityOptions")
             .field("wal_sync", &self.wal_sync)
-            .field("checkpoint_interval", &self.checkpoint_interval)
             .field("upload_queue_capacity", &self.upload_queue_capacity)
             .field("upload_policy", &self.upload_policy)
             .finish_non_exhaustive()
@@ -201,7 +194,7 @@ pub struct WalStatus {
     pub enabled: bool,
     /// Configured records per WAL segment.
     pub wal_sync: u64,
-    /// Configured records per full frame.
+    /// The fleet's configured records per full frame.
     pub checkpoint_interval: u64,
     /// WAL segments durably written.
     pub segments_written: u64,
@@ -308,11 +301,11 @@ impl WalMetricsInner {
         }
     }
 
-    pub(crate) fn status(&self, opts: &DurabilityOptions) -> WalStatus {
+    pub(crate) fn status(&self, opts: &DurabilityOptions, checkpoint_interval: usize) -> WalStatus {
         WalStatus {
             enabled: true,
             wal_sync: opts.wal_sync as u64,
-            checkpoint_interval: opts.checkpoint_interval as u64,
+            checkpoint_interval: checkpoint_interval as u64,
             segments_written: self.segments_written.get(),
             segment_bytes: self.segment_bytes.get(),
             frames_written: self.frames_written.get(),
@@ -381,8 +374,8 @@ impl UploadHandle {
     }
 
     /// Enqueues a frame. Frames are control plane: always a blocking send,
-    /// never shed, regardless of policy. Also used by `restore_all` to
-    /// re-anchor the store after a rewinding load.
+    /// never shed, regardless of policy. Also used by every worker install
+    /// to anchor the store to the new worker's seed.
     pub(crate) fn send_frame(&self, shard: usize, seq: u64, bytes: Vec<u8>) {
         self.metrics.queue_depth.inc();
         if self.tx.send(Job::Frame { shard, seq, bytes }).is_err() {
@@ -436,7 +429,7 @@ impl Uploader {
                 m.queue_depth.dec();
                 match job {
                     Job::Segment { shard, seq, bytes } => {
-                        match with_retry_observed(&m.retries, shard as u64, retried(shard), || {
+                        match with_retry_notifying(&m.retries, shard as u64, retried(shard), || {
                             store.put_wal_segment(shard, seq, &bytes)
                         }) {
                             Ok(()) => {
@@ -448,7 +441,7 @@ impl Uploader {
                         }
                     }
                     Job::Frame { shard, seq, bytes } => {
-                        match with_retry_observed(&m.retries, shard as u64, retried(shard), || {
+                        match with_retry_notifying(&m.retries, shard as u64, retried(shard), || {
                             store.put_frame(shard, seq, &bytes)
                         }) {
                             Ok(()) => {
@@ -463,7 +456,7 @@ impl Uploader {
                                 // Truncate only once the frame is durable:
                                 // if the frame had been lost, deleting the
                                 // log it supersedes would lose data.
-                                if with_retry_observed(
+                                if with_retry_notifying(
                                     &m.retries,
                                     shard as u64,
                                     retried(shard),
@@ -821,7 +814,7 @@ mod tests {
         assert_eq!(ids.len(), 1, "the durable frame truncated the log");
         assert_eq!(ids[0].kind, ObjectKind::Frame);
         assert_eq!(ids[0].seq, 10);
-        let status = metrics.status(&DurabilityOptions::new(store).wal_sync(4));
+        let status = metrics.status(&DurabilityOptions::new(store).wal_sync(4), 1024);
         assert_eq!(status.bytes_ingested, 80);
         assert!(status.amplification > 0.0);
         assert_eq!(status.failures, 0);

@@ -20,7 +20,7 @@
 //!
 //! Total per materialization: `O((B³/ε²) log³ n)` (paper Theorem 1).
 //!
-//! Both steps live in the shared [`crate::kernel`] (batch mode), driven
+//! Both steps live in the shared `kernel` module (batch mode), driven
 //! here over a [`SlidingPrefixSums`] provider.
 
 use crate::kernel::{Kernel, KernelStats, SnapshotCache};

@@ -41,11 +41,11 @@
 //! `Result`-returning API over dead shards ([`ShardError`]) with
 //! per-shard respawn, and lock-free per-shard counters ([`ShardMetrics`]).
 //! Every summary implements the versioned, checksummed
-//! [`Checkpoint`](streamhist_core::Checkpoint) frame format; the sharded
+//! [`Checkpoint`] frame format; the sharded
 //! layer auto-checkpoints each shard and restores from the last checkpoint
 //! on respawn, reporting the loss window in a [`RecoveryReport`].
 //! Malformed input is rejected, not fatal: every summary implements the
-//! [`StreamSummary`](streamhist_core::StreamSummary) trait with a fallible
+//! [`StreamSummary`] trait with a fallible
 //! `try_push` returning
 //! [`StreamhistError`](streamhist_core::StreamhistError) alongside the
 //! panicking convenience wrappers, and every summary is constructed either

@@ -2,7 +2,7 @@
 //! snapshot and admin surface.
 //!
 //! [`ShardedFixedWindow`] deliberately puts its mutating admin operations
-//! (`respawn_shard`, `restore_all`) behind `&mut self` so they can never
+//! (`respawn_shard`, `load_from_store`) behind `&mut self` so they can never
 //! race producers. A network front-end, though, is many threads by
 //! construction: connection workers answering queries concurrently with
 //! ingest, plus the occasional admin request. [`FleetHandle`] packages the
@@ -12,7 +12,7 @@
 //! * queries and ingestion take the **read** lock — unbounded concurrency,
 //!   exactly as cheap as calling the fleet directly (the fleet's own
 //!   channels do the synchronization);
-//! * `respawn_shard` / `restore_all` take the **write** lock — admin
+//! * `respawn_shard` / `load_from_store` take the **write** lock — admin
 //!   operations serialize against everything, which is what the fleet's
 //!   `&mut self` contract demands.
 //!
@@ -225,27 +225,15 @@ impl FleetHandle {
         Ok(self.write().respawn_shard(shard))
     }
 
-    /// Serializes a whole-fleet checkpoint into memory
-    /// (see [`ShardedFixedWindow::checkpoint_all`]).
+    /// Refreshes every shard's recovery point
+    /// (see [`ShardedFixedWindow::checkpoint`]); returns the frame bytes.
     ///
     /// # Errors
     ///
     /// The underlying [`io::Error`] (which wraps a [`ShardError`] when a
     /// worker has died).
-    pub fn checkpoint_all(&self) -> io::Result<Vec<u8>> {
-        let mut out = Vec::new();
-        self.read().checkpoint_all(&mut out)?;
-        Ok(out)
-    }
-
-    /// Loads a fleet save under the write lock
-    /// (see [`ShardedFixedWindow::restore_all`]); all-or-nothing.
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] as [`ShardedFixedWindow::restore_all`].
-    pub fn restore_all(&self, bytes: &[u8]) -> io::Result<()> {
-        self.write().restore_all(&mut io::Cursor::new(bytes))
+    pub fn checkpoint(&self) -> io::Result<u64> {
+        self.read().checkpoint()
     }
 
     /// Saves every shard's summary straight into a durable store
@@ -368,10 +356,11 @@ mod tests {
             handle.push(i, (i % 5) as f64).unwrap();
         }
         let (before, _) = handle.snapshot_global().unwrap();
-        let save = handle.checkpoint_all().unwrap();
+        let store = streamhist_core::MemStore::new();
+        assert!(handle.save_to_store(&store).unwrap() > 0);
         handle.push_batch_scatter(&[99.0; 8]).unwrap();
-        handle.restore_all(&save).unwrap();
+        handle.load_from_store(&store).unwrap();
         let (after, _) = handle.snapshot_global().unwrap();
-        assert_eq!(before, after, "restore rewinds to the checkpoint");
+        assert_eq!(before, after, "a load rewinds to the save");
     }
 }

@@ -6,7 +6,7 @@
 //! space (one summary per interface, per flow group, per sensor), pin each
 //! shard to a worker thread, and fan records out by key. Nothing in the
 //! algorithm has to change; what the refactor to the arena-backed
-//! [`crate::kernel`] bought is that every summary is `Send + 'static`, so
+//! `kernel` module bought is that every summary is `Send + 'static`, so
 //! shards can be *moved* to workers and their finished summaries moved
 //! back.
 //!
@@ -27,15 +27,18 @@
 //!   on the dead index from its last checkpoint.
 //! * **Durability.** Every worker auto-checkpoints its summary every
 //!   [`ShardedOptions::checkpoint_interval`] accepted records — a
-//!   versioned, CRC-checksummed [`Checkpoint`] frame kept in memory.
+//!   versioned, CRC-checksummed [`Checkpoint`] frame kept in an in-memory
+//!   slot and, on a fleet built with
+//!   [`durability`](ShardedFixedWindowBuilder::durability), shipped to its
+//!   store beside a per-record WAL.
 //!   [`respawn_shard`](ShardedFixedWindow::respawn_shard) seeds the
 //!   replacement worker from a live worker's drained summary (lossless
-//!   handoff) or, after a death, from the last checkpoint, and reports
-//!   exactly how many accepted records were lost since that checkpoint was
-//!   taken ([`RecoveryReport`]).
-//!   [`checkpoint_all`](ShardedFixedWindow::checkpoint_all) /
-//!   [`restore_all`](ShardedFixedWindow::restore_all) save and load the
-//!   whole fleet through any [`Write`]/[`Read`] sink.
+//!   handoff) or, after a death, from the newest readable recovery point
+//!   (store, then slot), and reports exactly how many accepted records
+//!   were lost ([`RecoveryReport`]).
+//!   [`save_to_store`](ShardedFixedWindow::save_to_store) /
+//!   [`load_from_store`](ShardedFixedWindow::load_from_store) save and
+//!   load the whole fleet through any [`CheckpointStore`].
 //! * **Backpressure.** Each shard's command queue is a *bounded*
 //!   `sync_channel` ([`ShardedOptions::queue_capacity`] commands deep).
 //!   When a shard falls behind, the configured [`OverloadPolicy`] decides:
@@ -54,13 +57,14 @@
 //! re-sharding and replication remain out of scope.
 
 use crate::durability::{
-    recover_shard, DurabilityOptions, FleetDurability, ShardWal, WalMetricsInner, WalStatus,
+    recover_shard, with_retry, DurabilityOptions, FleetDurability, ShardWal, WalMetricsInner,
+    WalStatus,
 };
 use crate::fixed_window::FixedWindowHistogram;
 use crate::kernel::{KernelStats, SnapshotCache};
 use crate::merge::merge_histograms;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -73,14 +77,6 @@ use streamhist_obs::{Counter, EventKind, FlightRecorder, FloatGauge, Gauge, Metr
 use crate::telemetry::{FleetTiming, KernelTracer};
 #[cfg(feature = "obs")]
 use std::time::Instant;
-
-/// Leading byte of a fleet save produced by
-/// [`ShardedFixedWindow::checkpoint_all`] (`'S'` for *sharded*; per-shard
-/// frames inside carry their own magic and CRC).
-const FLEET_MAGIC: u8 = 0x53;
-
-/// Fleet frame format version written by `checkpoint_all`.
-const FLEET_VERSION: u8 = 1;
 
 /// Upper bound on one scatter chunk, in records. A scattered slab used to
 /// split into exactly `shards()` chunks of `len / k` records each; for
@@ -213,11 +209,12 @@ pub struct ShardedOptions {
     pub queue_capacity: usize,
     /// What to do when the queue is full.
     pub policy: OverloadPolicy,
-    /// A worker takes an automatic in-memory checkpoint of its summary
-    /// after every this many accepted records. Must be positive; the
-    /// default is 1024. Smaller values tighten the worst-case loss window
-    /// of [`ShardedFixedWindow::respawn_shard`] at the cost of more encode
-    /// work per record.
+    /// A worker takes an automatic checkpoint of its summary after every
+    /// this many accepted records: into its in-memory slot and, on a
+    /// durable fleet, into the store. Must be positive; the default is
+    /// 1024. Smaller values tighten the worst-case loss window of
+    /// [`ShardedFixedWindow::respawn_shard`] without a store at the cost
+    /// of more encode work per record.
     pub checkpoint_interval: usize,
 }
 
@@ -267,14 +264,14 @@ pub struct ShardMetrics {
     /// Times this shard index has been respawned.
     pub respawns: u64,
     /// Checkpoints taken for this shard index (automatic interval
-    /// checkpoints plus explicit [`ShardedFixedWindow::checkpoint_all`]
-    /// requests).
+    /// checkpoints plus explicit [`ShardedFixedWindow::checkpoint`] and
+    /// [`ShardedFixedWindow::save_to_store`] requests).
     pub checkpoints_taken: u64,
     /// Cumulative encoded size of every checkpoint frame taken, in bytes.
     pub checkpoint_bytes: u64,
-    /// Times this shard index has been restored from a checkpoint frame
-    /// (dead-worker respawns and [`ShardedFixedWindow::restore_all`] loads;
-    /// lossless live handoffs do not count).
+    /// Times this shard index has been restored from a recovery point
+    /// (dead-worker respawns and [`ShardedFixedWindow::load_from_store`]
+    /// loads; lossless live handoffs do not count).
     pub restores: u64,
     /// Commands currently enqueued (or in flight) to the worker.
     pub queue_depth: usize,
@@ -514,23 +511,15 @@ impl MetricsInner {
     }
 }
 
-/// The last checkpoint taken for one shard index: the encoded frame plus
-/// the value of the shard's `pushes_accepted` counter at the instant it
-/// was taken (the anchor for `lost_since_checkpoint` accounting). The slot
-/// outlives individual workers — it is what a dead shard restores from.
-struct CheckpointSlot {
-    frame: Vec<u8>,
-    accepted_at: u64,
-}
-
-/// Encodes the worker's current summary into the shared slot, maintaining
-/// the checkpoint metrics, and returns the frame (for callers that also
-/// ship it somewhere). Runs on the worker thread, so `pushes_accepted` is
-/// exact: the worker is its only writer.
+/// Encodes the worker's current summary into the shard's in-memory
+/// checkpoint slot, maintaining the checkpoint metrics, and returns the
+/// frame (for callers that also ship it somewhere). The slot outlives
+/// individual workers: it is what a dead shard restores from when the
+/// fleet has no readable store.
 fn checkpoint_now(
     fw: &FixedWindowHistogram,
     metrics: &MetricsInner,
-    slot: &Mutex<CheckpointSlot>,
+    slot: &Mutex<Vec<u8>>,
 ) -> Vec<u8> {
     #[cfg(feature = "obs")]
     let encode_start = metrics.timing.as_ref().map(|_| Instant::now());
@@ -541,11 +530,9 @@ fn checkpoint_now(
     }
     metrics.checkpoints_taken.inc();
     metrics.checkpoint_bytes.inc_by(frame.len() as u64);
-    let accepted_at = metrics.pushes_accepted.get();
-    *slot.lock().unwrap_or_else(PoisonError::into_inner) = CheckpointSlot {
-        frame: frame.clone(),
-        accepted_at,
-    };
+    slot.lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone_from(&frame);
     frame
 }
 
@@ -565,7 +552,7 @@ enum Cmd {
     /// Take a checkpoint right now (after everything queued before it) and
     /// reply with the encoded frame plus the summary's `total_pushed` (the
     /// frame's store sequence number) — the building block of
-    /// [`ShardedFixedWindow::checkpoint_all`] and
+    /// [`ShardedFixedWindow::checkpoint`] and
     /// [`ShardedFixedWindow::save_to_store`].
     Checkpoint(Sender<(Vec<u8>, u64)>),
     /// Fault injection: the worker panics on receipt (see
@@ -593,7 +580,8 @@ struct Shard {
     /// point sees `Some`.
     handle: Option<JoinHandle<FixedWindowHistogram>>,
     metrics: Arc<MetricsInner>,
-    checkpoint: Arc<Mutex<CheckpointSlot>>,
+    /// The frame of the shard's last checkpoint (see [`checkpoint_now`]).
+    checkpoint: Arc<Mutex<Vec<u8>>>,
     /// `pushes_accepted` at the current worker's install minus its seed
     /// summary's `total_pushed`: translates between the cumulative metric
     /// domain (which counts records lost in earlier epochs) and the
@@ -684,26 +672,7 @@ impl ShardedFixedWindow {
     /// non-panicking surface.
     #[must_use]
     pub fn new(shards: usize, capacity: usize, b: usize, eps: f64) -> Self {
-        Self::with_options(shards, capacity, b, eps, ShardedOptions::default())
-    }
-
-    /// [`Self::new`] with explicit queue bound and overload policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`, `options.queue_capacity == 0`, or on the
-    /// parameter conditions of [`FixedWindowHistogram::new`]. Use
-    /// [`Self::builder`] for the non-panicking surface.
-    #[must_use]
-    pub fn with_options(
-        shards: usize,
-        capacity: usize,
-        b: usize,
-        eps: f64,
-        options: ShardedOptions,
-    ) -> Self {
         Self::builder(shards, capacity, b, eps)
-            .options(options)
             .build()
             .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -736,24 +705,19 @@ impl ShardedFixedWindow {
 
     /// Spawns one worker owning `fw` (a fresh, drained, or
     /// checkpoint-restored summary — the caller decides). The worker
-    /// auto-checkpoints into `slot` every checkpoint interval's worth of
+    /// auto-checkpoints into `slot` every
+    /// [`checkpoint_interval`](ShardedOptions::checkpoint_interval)
     /// accepted records; with durability configured (`wal` is `Some`) it
     /// additionally logs every accepted record to the WAL and ships each
-    /// interval frame to the store, and the interval comes from
-    /// [`DurabilityOptions::checkpoint_interval`].
+    /// of those frames to the store.
     fn spawn_worker(
         &self,
         mut fw: FixedWindowHistogram,
         metrics: Arc<MetricsInner>,
-        slot: Arc<Mutex<CheckpointSlot>>,
+        slot: Arc<Mutex<Vec<u8>>>,
         mut wal: Option<ShardWal>,
     ) -> (SyncSender<Envelope>, JoinHandle<FixedWindowHistogram>) {
-        let interval = self
-            .durability
-            .as_ref()
-            .map_or(self.options.checkpoint_interval, |d| {
-                d.options.checkpoint_interval
-            });
+        let interval = self.options.checkpoint_interval;
         let (tx, rx) = sync_channel::<Envelope>(self.options.queue_capacity);
         #[cfg(feature = "obs")]
         let tracer = self.kernel_tracer.clone();
@@ -1047,15 +1011,22 @@ impl ShardedFixedWindow {
     /// the worker at serve time (exactly the records inside the
     /// histogram).
     fn request_snapshot(&self, shard: usize) -> Result<Receiver<ShardReply>, ShardError> {
-        let s = &self.shards[shard];
         let (reply_tx, reply_rx) = channel();
-        let env = s.metrics.envelope(Cmd::Snapshot(reply_tx));
+        self.send_control(shard, Cmd::Snapshot(reply_tx))?;
+        Ok(reply_rx)
+    }
+
+    /// Enqueues a control command (never shed, whatever the overload
+    /// policy), maintaining the depth gauge.
+    fn send_control(&self, shard: usize, cmd: Cmd) -> Result<(), ShardError> {
+        let s = &self.shards[shard];
+        let env = s.metrics.envelope(cmd);
         s.metrics.queue_depth.inc();
         if s.sender.send(env).is_err() {
             s.metrics.queue_depth.dec();
             return Err(ShardError { shard });
         }
-        Ok(reply_rx)
+        Ok(())
     }
 
     /// The concurrent scatter behind every multi-shard snapshot: sends
@@ -1373,14 +1344,7 @@ impl ShardedFixedWindow {
     ///
     /// Panics if `shard` is out of range.
     pub fn inject_worker_panic(&self, shard: usize) -> Result<(), ShardError> {
-        let s = &self.shards[shard];
-        let env = s.metrics.envelope(Cmd::InjectPanic);
-        s.metrics.queue_depth.inc();
-        if s.sender.send(env).is_err() {
-            s.metrics.queue_depth.dec();
-            return Err(ShardError { shard });
-        }
-        Ok(())
+        self.send_control(shard, Cmd::InjectPanic)
     }
 
     /// Closes shard `shard`'s channel and joins its worker: `Some(summary)`
@@ -1400,28 +1364,38 @@ impl ShardedFixedWindow {
         handle.join().ok()
     }
 
-    /// Spawns a replacement worker on shard `shard` seeded with `seed`,
-    /// refreshing the checkpoint slot to `frame` (the encoding of `seed`)
-    /// so per-epoch loss accounting restarts from the seed state, and
-    /// resetting the queue-depth gauge and unapplied count for the new
-    /// (empty) queue.
-    fn install_worker(&mut self, shard: usize, seed: FixedWindowHistogram, frame: Vec<u8>) {
+    /// Spawns a replacement worker on shard `shard` seeded with `seed`.
+    ///
+    /// This is the one place a worker starts from a known state, so it is
+    /// also where that state becomes the shard's recovery anchor: the seed
+    /// is encoded into the in-memory slot and, on a durable fleet, put to
+    /// the store at `seq = total_pushed` (the uploader then truncates
+    /// everything else of the shard's: superseded frames and segments, and
+    /// stale higher-sequence objects from before a rewinding load) before
+    /// the call returns. Loss accounting and the queue gauges restart with
+    /// the new worker.
+    fn install_worker(&mut self, shard: usize, seed: FixedWindowHistogram) {
+        let frame = seed.encode_checkpoint();
+        let seq = seed.total_pushed();
+        if let Some(d) = &self.durability {
+            // Enqueued before the new worker exists, so every segment it
+            // cuts lands after the anchor's truncate.
+            let uploader = d.handle();
+            uploader.send_frame(shard, seq, frame.clone());
+            uploader.flush();
+        }
         let metrics = Arc::clone(&self.shards[shard].metrics);
         let slot = Arc::clone(&self.shards[shard].checkpoint);
-        let accepted = metrics.pushes_accepted.get();
-        *slot.lock().unwrap_or_else(PoisonError::into_inner) = CheckpointSlot {
-            frame,
-            accepted_at: accepted,
-        };
+        *slot.lock().unwrap_or_else(PoisonError::into_inner) = frame;
         // Re-anchor the metric-domain ↔ summary-domain translation: from
         // here on, `accepted - (epoch_offset + total_pushed)` counts
         // exactly the records accepted by dead workers and never made
         // durable.
         #[allow(clippy::cast_possible_wrap)]
         {
-            self.shards[shard].epoch_offset = accepted as i64 - seed.total_pushed() as i64;
+            self.shards[shard].epoch_offset = metrics.pushes_accepted.get() as i64 - seq as i64;
         }
-        let wal = self.shard_wal(shard, seed.total_pushed());
+        let wal = self.shard_wal(shard, seq);
         let (sender, handle) = self.spawn_worker(seed, Arc::clone(&metrics), slot, wal);
         self.shards[shard].sender = sender;
         self.shards[shard].handle = Some(handle);
@@ -1439,17 +1413,19 @@ impl ShardedFixedWindow {
     /// after a worker death — the fleet degrades gracefully instead of
     /// cascading panics.
     ///
-    /// The old worker's channel is closed first. If it is still alive it
-    /// drains every queued command and the replacement worker is seeded
-    /// with its final summary — a **lossless handoff**
-    /// (`lost_since_checkpoint == 0`). If it had died, the replacement is
-    /// seeded from the shard's last in-memory checkpoint, and the report
-    /// says exactly how many accepted records died with the worker
-    /// (everything accepted after that checkpoint was taken); with no
-    /// usable checkpoint the shard restarts empty and the whole epoch is
-    /// reported lost. Cumulative metrics survive; `queue_depth` is reset
+    /// The old worker's channel is closed first. One rule picks the
+    /// replacement's seed: a still-live worker drains every queued command
+    /// and hands over its final summary (a **lossless handoff**); a dead
+    /// one is replaced from the newest readable recovery point — the
+    /// durable store (newest frame plus WAL replay), else the in-memory
+    /// checkpoint slot, else an empty summary. The report is computed the
+    /// same way for all of them: `restored_len` is the seed's
+    /// `total_pushed`, and `lost_since_checkpoint` is every record the
+    /// shard accepted in this worker epoch that the seed does not hold (0
+    /// for a handoff). Cumulative metrics survive; `queue_depth` is reset
     /// for the new (empty) queue, `respawns` increments, and `restores`
-    /// increments when a checkpoint frame was decoded.
+    /// increments when a recovery point was decoded. The seed becomes the
+    /// shard's recovery anchor, in the store too (see DESIGN.md §5.3).
     ///
     /// Takes `&mut self`, so producers (which hold `&self`) can never race
     /// a respawn — wrap the whole value in an `RwLock` to respawn while
@@ -1459,238 +1435,103 @@ impl ShardedFixedWindow {
     ///
     /// Panics if `shard` is out of range.
     pub fn respawn_shard(&mut self, shard: usize) -> RecoveryReport {
-        let metrics = Arc::clone(&self.shards[shard].metrics);
-        let (seed, report) = match self.retire_worker(shard) {
-            Some(fw) => {
-                let report = RecoveryReport {
-                    restored_len: fw.total_pushed(),
-                    lost_since_checkpoint: 0,
-                };
-                (fw, report)
-            }
-            None => {
-                // Read the counter only after the join above: a dying
-                // worker can still accept queued records (and even take an
-                // auto-checkpoint) right up to its death, so any earlier
-                // read would undercount the loss. Post-join both the
-                // counter and the slot are frozen.
-                let accepted = metrics.pushes_accepted.get();
-                if let Some(recovered) = self.recover_from_store(shard, accepted) {
-                    recovered
-                } else {
-                    let slot = Arc::clone(&self.shards[shard].checkpoint);
-                    let guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                    let accepted_at = guard.accepted_at;
-                    #[cfg(feature = "obs")]
-                    let restore_start = metrics.timing.as_ref().map(|_| Instant::now());
-                    let decoded = FixedWindowHistogram::restore(&guard.frame);
-                    #[cfg(feature = "obs")]
-                    if let (Some(t), Some(start)) = (&metrics.timing, restore_start) {
-                        t.restore.record(start.elapsed());
-                    }
-                    drop(guard);
-                    let lost_since_checkpoint = accepted.saturating_sub(accepted_at);
-                    match decoded {
-                        Ok(fw) => {
-                            metrics.restores.inc();
-                            let report = RecoveryReport {
-                                restored_len: fw.total_pushed(),
-                                lost_since_checkpoint,
-                            };
-                            (fw, report)
-                        }
-                        // Unreachable through this module's own frames, but a
-                        // corrupt slot must degrade to an empty shard, not a
-                        // panic.
-                        Err(_) => {
-                            let report = RecoveryReport {
-                                restored_len: 0,
-                                lost_since_checkpoint,
-                            };
-                            (self.fresh_summary(), report)
-                        }
-                    }
-                }
-            }
+        let seed = match self.retire_worker(shard) {
+            Some(fw) => fw,
+            None => self.recover_dead(shard),
         };
-        let frame = seed.encode_checkpoint();
-        self.install_worker(shard, seed, frame);
-        metrics.respawns.inc();
-        report
+        // Read the counter only after the join in `retire_worker`: a dying
+        // worker can still accept queued records right up to its death,
+        // so any earlier read would undercount the loss.
+        let s = &self.shards[shard];
+        let restored_len = seed.total_pushed();
+        #[allow(clippy::cast_possible_wrap, clippy::cast_sign_loss)]
+        let lost = (s.metrics.pushes_accepted.get() as i64 - (s.epoch_offset + restored_len as i64))
+            .max(0) as u64;
+        s.metrics.respawns.inc();
+        self.install_worker(shard, seed);
+        RecoveryReport {
+            restored_len,
+            lost_since_checkpoint: lost,
+        }
     }
 
-    /// Durability-backed dead-shard recovery: flush the uploader so every
-    /// WAL segment the dead worker shipped is in the store, then rebuild
-    /// the summary from the newest frame plus its WAL tail. Returns `None`
-    /// when the fleet has no durability pipeline or the store itself is
-    /// unreadable (the caller falls back to the in-memory slot). Loss is
-    /// exact: the records the dead worker accepted (metric domain) minus
-    /// those the recovered summary holds (translated via the shard's
-    /// epoch offset) — zero for every record synced before the crash.
-    fn recover_from_store(
-        &self,
-        shard: usize,
-        accepted: u64,
-    ) -> Option<(FixedWindowHistogram, RecoveryReport)> {
-        let d = self.durability.as_ref()?;
-        d.flush();
+    /// A dead shard's newest readable recovery point: the durable store
+    /// (flushed first, so every WAL segment the dead worker enqueued is
+    /// in it), else the in-memory slot, else an empty summary.
+    fn recover_dead(&self, shard: usize) -> FixedWindowHistogram {
         let metrics = &self.shards[shard].metrics;
+        self.flush_wal();
         #[cfg(feature = "obs")]
         let restore_start = metrics.timing.as_ref().map(|_| Instant::now());
-        let fresh = self.fresh_summary();
-        let fw = recover_shard(d.options.store.as_ref(), shard, &d.metrics.retries, || {
-            fresh
-        })
-        .ok()?;
+        let recovered = self
+            .durability
+            .as_ref()
+            .and_then(|d| {
+                recover_shard(d.options.store.as_ref(), shard, &d.metrics.retries, || {
+                    self.fresh_summary()
+                })
+                .ok()
+            })
+            .or_else(|| {
+                let slot = self.shards[shard].checkpoint.lock();
+                FixedWindowHistogram::restore(&slot.unwrap_or_else(PoisonError::into_inner)).ok()
+            });
         #[cfg(feature = "obs")]
         if let (Some(t), Some(start)) = (&metrics.timing, restore_start) {
             t.restore.record(start.elapsed());
         }
-        metrics.restores.inc();
-        #[allow(clippy::cast_possible_wrap, clippy::cast_sign_loss)]
-        let lost = (accepted as i64 - (self.shards[shard].epoch_offset + fw.total_pushed() as i64))
-            .max(0) as u64;
-        let report = RecoveryReport {
-            restored_len: fw.total_pushed(),
-            lost_since_checkpoint: lost,
-        };
-        Some((fw, report))
+        if recovered.is_some() {
+            metrics.restores.inc();
+        }
+        recovered.unwrap_or_else(|| self.fresh_summary())
     }
 
-    /// Saves the whole fleet to `sink`: a checkpoint of every shard's
-    /// current summary, each taken after everything previously enqueued to
-    /// that shard has been absorbed (the checkpoint request is a per-shard
-    /// barrier, like [`snapshot`](Self::snapshot)). The format is a small
-    /// fleet header (magic, version, shard count) followed by one
-    /// length-prefixed, self-checksummed [`Checkpoint`] frame per shard,
-    /// in shard order. Taking the checkpoints also refreshes each shard's
-    /// in-memory recovery slot. Returns the number of bytes written.
+    /// Sends every shard a checkpoint request and waits for each reply: a
+    /// per-shard barrier, like [`snapshot`](Self::snapshot), after which
+    /// every shard's in-memory slot holds the returned frame (and a
+    /// durable fleet's uploader has the frame queued). Returns each
+    /// shard's `(frame, total_pushed)`, in shard order.
+    fn checkpoint_barrier(&self) -> io::Result<Vec<(Vec<u8>, u64)>> {
+        (0..self.shards())
+            .map(|shard| {
+                let (reply_tx, reply_rx) = channel();
+                self.send_control(shard, Cmd::Checkpoint(reply_tx))
+                    .map_err(io::Error::other)?;
+                reply_rx
+                    .recv()
+                    .map_err(|_| io::Error::other(ShardError { shard }))
+            })
+            .collect()
+    }
+
+    /// Refreshes every shard's recovery point now, behind a per-shard
+    /// barrier: each shard checkpoints its summary into its in-memory
+    /// slot and, on a durable fleet, into the store (the frame supersedes
+    /// the WAL before it, which the uploader truncates). Returns once
+    /// those uploads have landed, with the total frame bytes taken — the
+    /// `checkpoint_all` admin verb's answer.
     ///
     /// # Errors
     ///
-    /// [`io::Error`] from `sink`, or an [`io::Error`] wrapping
-    /// [`ShardError`] if a worker has died (save the healthy shards by
-    /// respawning the dead one first).
-    pub fn checkpoint_all<W: Write>(&self, sink: &mut W) -> io::Result<u64> {
-        let mut frames = Vec::with_capacity(self.shards.len());
-        for (shard, s) in self.shards.iter().enumerate() {
-            let (reply_tx, reply_rx) = channel();
-            let env = s.metrics.envelope(Cmd::Checkpoint(reply_tx));
-            s.metrics.queue_depth.inc();
-            if s.sender.send(env).is_err() {
-                s.metrics.queue_depth.dec();
-                return Err(io::Error::other(ShardError { shard }));
-            }
-            let (frame, _total) = reply_rx
-                .recv()
-                .map_err(|_| io::Error::other(ShardError { shard }))?;
-            frames.push(frame);
-        }
-        let mut written = 0u64;
-        sink.write_all(&[FLEET_MAGIC, FLEET_VERSION])?;
-        written += 2;
-        let count =
-            u32::try_from(frames.len()).map_err(|_| io::Error::other("shard count exceeds u32"))?;
-        sink.write_all(&count.to_le_bytes())?;
-        written += 4;
-        for frame in &frames {
-            sink.write_all(&(frame.len() as u64).to_le_bytes())?;
-            sink.write_all(frame)?;
-            written += 8 + frame.len() as u64;
-        }
-        sink.flush()?;
-        Ok(written)
+    /// An [`io::Error`] wrapping [`ShardError`] if a worker has died
+    /// (checkpoint the healthy shards by respawning the dead one first).
+    pub fn checkpoint(&self) -> io::Result<u64> {
+        let frames = self.checkpoint_barrier()?;
+        self.flush_wal();
+        Ok(frames.iter().map(|(frame, _)| frame.len() as u64).sum())
     }
 
-    /// Loads a fleet save produced by [`checkpoint_all`](Self::checkpoint_all),
-    /// replacing every shard's worker with one seeded from its saved
-    /// summary. The load is all-or-nothing: every frame is validated
-    /// (header, per-frame CRC, full structural decode) before any worker
-    /// is replaced, so a corrupt save leaves the fleet untouched. The
-    /// shard count must match this fleet's. Each shard's `restores`
-    /// counter increments; other cumulative metrics are kept.
+    /// Saves every shard's current summary into `store` as one checkpoint
+    /// frame per shard, each taken behind the same per-shard barrier as
+    /// [`checkpoint`](Self::checkpoint), then truncates each shard's
+    /// objects to the saved frame (the frame supersedes the log). A later
+    /// [`load_from_store`](Self::load_from_store) picks up exactly these
+    /// frames; [`DirStore`](streamhist_core::DirStore) puts them in files.
+    /// Returns the total frame bytes written.
     ///
-    /// # Errors
-    ///
-    /// [`io::Error`] from `source`, or [`io::ErrorKind::InvalidData`]
-    /// wrapping the [`StreamhistError`] if a frame fails validation or the
-    /// header/shard count does not match.
-    pub fn restore_all<R: Read>(&mut self, source: &mut R) -> io::Result<()> {
-        let invalid = |reason: &str| io::Error::new(io::ErrorKind::InvalidData, reason.to_owned());
-        let mut header = [0u8; 2];
-        source.read_exact(&mut header)?;
-        if header[0] != FLEET_MAGIC {
-            return Err(invalid("fleet frame magic mismatch"));
-        }
-        if header[1] != FLEET_VERSION {
-            return Err(invalid("unsupported fleet frame version"));
-        }
-        let mut count_bytes = [0u8; 4];
-        source.read_exact(&mut count_bytes)?;
-        let count = u32::from_le_bytes(count_bytes) as usize;
-        if count != self.shards.len() {
-            return Err(invalid("fleet shard count does not match this fleet"));
-        }
-        #[cfg(feature = "obs")]
-        let timing = self.shards[0].metrics.timing.clone();
-        let mut restored = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mut len_bytes = [0u8; 8];
-            source.read_exact(&mut len_bytes)?;
-            let len = u64::from_le_bytes(len_bytes);
-            let mut frame = Vec::new();
-            // `take` bounds the read so a corrupt length cannot overread;
-            // a length past EOF surfaces as a short frame below.
-            source.take(len).read_to_end(&mut frame)?;
-            if frame.len() as u64 != len {
-                return Err(invalid("truncated shard frame in fleet save"));
-            }
-            #[cfg(feature = "obs")]
-            let restore_start = timing.as_ref().map(|_| Instant::now());
-            let fw = FixedWindowHistogram::restore(&frame)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            #[cfg(feature = "obs")]
-            if let (Some(t), Some(start)) = (&timing, restore_start) {
-                t.restore.record(start.elapsed());
-            }
-            restored.push((frame, fw));
-        }
-        // With durability, the restored state must become the store's
-        // canonical anchor too: ship each frame and truncate away any
-        // stale higher-sequence objects a pre-restore run left behind, or
-        // a later crash recovery would resurrect the overwritten state.
-        let anchors: Vec<(usize, u64, Vec<u8>)> = if self.durability.is_some() {
-            restored
-                .iter()
-                .enumerate()
-                .map(|(shard, (frame, fw))| (shard, fw.total_pushed(), frame.clone()))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        for (shard, (frame, fw)) in restored.into_iter().enumerate() {
-            let _ = self.retire_worker(shard);
-            self.install_worker(shard, fw, frame);
-            self.shards[shard].metrics.restores.inc();
-        }
-        if let Some(d) = &self.durability {
-            let handle = d.handle();
-            for (shard, seq, frame) in anchors {
-                handle.send_frame(shard, seq, frame);
-            }
-            handle.flush();
-        }
-        Ok(())
-    }
-
-    /// Saves every shard's current summary straight into `store` as one
-    /// checkpoint frame per shard, each taken behind the same per-shard
-    /// barrier as [`checkpoint_all`](Self::checkpoint_all), then truncates
-    /// each shard's WAL up to the saved frame (the frame supersedes the
-    /// log). Unlike the sink-based save this addresses frames by shard and
-    /// sequence number, so a later [`load_from_store`](Self::load_from_store)
-    /// — or a durability-enabled fleet's own crash recovery — picks up
-    /// exactly these frames. Returns the total frame bytes written.
+    /// `store` must not be this fleet's own durable store: the truncate
+    /// here is synchronous, and could delete segments the uploader has
+    /// just put. Use [`checkpoint`](Self::checkpoint) for that.
     ///
     /// # Errors
     ///
@@ -1699,21 +1540,11 @@ impl ShardedFixedWindow {
     /// store rejects a write.
     pub fn save_to_store(&self, store: &dyn CheckpointStore) -> io::Result<u64> {
         let mut written = 0u64;
-        for (shard, s) in self.shards.iter().enumerate() {
-            let (reply_tx, reply_rx) = channel();
-            let env = s.metrics.envelope(Cmd::Checkpoint(reply_tx));
-            s.metrics.queue_depth.inc();
-            if s.sender.send(env).is_err() {
-                s.metrics.queue_depth.dec();
-                return Err(io::Error::other(ShardError { shard }));
-            }
-            let (frame, total) = reply_rx
-                .recv()
-                .map_err(|_| io::Error::other(ShardError { shard }))?;
+        for (shard, (frame, seq)) in self.checkpoint_barrier()?.into_iter().enumerate() {
             store
-                .put_frame(shard, total, &frame)
+                .put_frame(shard, seq, &frame)
                 .map_err(io::Error::other)?;
-            store.truncate(shard, total).map_err(io::Error::other)?;
+            store.truncate(shard, seq).map_err(io::Error::other)?;
             written += frame.len() as u64;
         }
         Ok(written)
@@ -1725,30 +1556,42 @@ impl ShardedFixedWindow {
     /// A shard with no objects in the store restarts empty. The load is
     /// all-or-nothing: every shard's state is recovered and validated
     /// before any worker is replaced, so a corrupt store leaves the fleet
-    /// untouched. Each recovered shard's `restores` counter increments.
+    /// untouched. Each loaded state becomes its shard's recovery anchor,
+    /// in this fleet's own store too, before the call returns. Each
+    /// shard's `restores` counter increments.
     ///
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidData`] wrapping the
     /// [`StoreError`](streamhist_core::StoreError) if a frame or WAL
-    /// segment fails validation.
+    /// segment fails validation or the store cannot be read, or if it
+    /// holds objects for a shard index this fleet does not have (a save
+    /// from a larger fleet, whose extra shards would be silently dropped).
     pub fn load_from_store(&mut self, store: &dyn CheckpointStore) -> io::Result<()> {
+        let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
         let retries = self
             .durability
             .as_ref()
             .map(|d| d.metrics.retries.clone())
             .unwrap_or_default();
-        let mut recovered = Vec::with_capacity(self.shards.len());
-        for shard in 0..self.shards.len() {
-            let fresh = self.fresh_summary();
-            let fw = recover_shard(store, shard, &retries, || fresh)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            recovered.push(fw);
+        let beyond = with_retry(&retries, 0, || store.list(self.shards()))
+            .map_err(|e| invalid(e.to_string()))?;
+        if !beyond.is_empty() {
+            return Err(invalid(format!(
+                "store holds objects for shard {}, beyond this {}-shard fleet",
+                self.shards(),
+                self.shards()
+            )));
         }
+        let recovered = (0..self.shards())
+            .map(|shard| {
+                recover_shard(store, shard, &retries, || self.fresh_summary())
+                    .map_err(|e| invalid(e.to_string()))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
         for (shard, fw) in recovered.into_iter().enumerate() {
             let _ = self.retire_worker(shard);
-            let frame = fw.encode_checkpoint();
-            self.install_worker(shard, fw, frame);
+            self.install_worker(shard, fw);
             self.shards[shard].metrics.restores.inc();
         }
         Ok(())
@@ -1763,7 +1606,10 @@ impl ShardedFixedWindow {
     pub fn wal_status(&self) -> WalStatus {
         self.durability
             .as_ref()
-            .map_or_else(WalStatus::default, |d| d.metrics.status(&d.options))
+            .map_or_else(WalStatus::default, |d| {
+                d.metrics
+                    .status(&d.options, self.options.checkpoint_interval)
+            })
     }
 
     /// Blocks until every durability upload enqueued so far has been
@@ -1848,17 +1694,12 @@ impl ShardedFixedWindowBuilder {
     }
 
     /// Overrides the auto-checkpoint interval: a shard checkpoints itself
-    /// after every `checkpoint_interval` accepted records (default 1024).
+    /// after every `checkpoint_interval` accepted records (default 1024),
+    /// into its in-memory slot and, with
+    /// [`durability`](Self::durability), into the store.
     #[must_use]
     pub fn checkpoint_interval(mut self, checkpoint_interval: usize) -> Self {
         self.options.checkpoint_interval = checkpoint_interval;
-        self
-    }
-
-    /// Replaces the options wholesale (legacy [`ShardedOptions`] surface).
-    #[must_use]
-    pub fn options(mut self, options: ShardedOptions) -> Self {
-        self.options = options;
         self
     }
 
@@ -1879,8 +1720,7 @@ impl ShardedFixedWindowBuilder {
     /// as its thread-scoped tracer (see
     /// [`telemetry::set_thread_kernel_tracer`](crate::telemetry::set_thread_kernel_tracer)):
     /// the kernel's phase hooks on those threads report to this tracer's
-    /// registry, replacing the deprecated process-global
-    /// `install_kernel_tracer`. Requires the `obs` cargo feature.
+    /// registry. Requires the `obs` cargo feature.
     #[cfg(feature = "obs")]
     #[must_use]
     pub fn kernel_tracer(mut self, tracer: Arc<KernelTracer>) -> Self {
@@ -1891,17 +1731,14 @@ impl ShardedFixedWindowBuilder {
     /// Enables incremental durability: every accepted record is appended
     /// to a per-shard write-ahead log shipped to
     /// [`DurabilityOptions::store`] as CRC-framed segments of
-    /// [`wal_sync`](DurabilityOptions::wal_sync) records, a full
-    /// checkpoint frame is cut every
-    /// [`checkpoint_interval`](DurabilityOptions::checkpoint_interval)
-    /// accepted records (after which the covered log is truncated), and
+    /// [`wal_sync`](DurabilityOptions::wal_sync) records, every
+    /// auto-checkpoint frame
+    /// ([`checkpoint_interval`](Self::checkpoint_interval)) is shipped too
+    /// (after which the covered log is truncated), and
     /// [`respawn_shard`](ShardedFixedWindow::respawn_shard) recovers a
     /// dead shard from the newest frame plus WAL replay — bit-identical
     /// to a summary that ingested the same prefix directly, with
-    /// `lost_since_checkpoint == 0` for every synced record. With
-    /// durability configured, the auto-checkpoint interval comes from
-    /// these options, not
-    /// [`checkpoint_interval`](Self::checkpoint_interval).
+    /// `lost_since_checkpoint == 0` for every synced record.
     #[must_use]
     pub fn durability(mut self, options: DurabilityOptions) -> Self {
         self.durability = Some(options);
@@ -1939,12 +1776,6 @@ impl ShardedFixedWindowBuilder {
                 return Err(StreamhistError::InvalidParameter {
                     param: "wal_sync",
                     message: "WAL sync interval must be positive",
-                });
-            }
-            if d.checkpoint_interval == 0 {
-                return Err(StreamhistError::InvalidParameter {
-                    param: "durability.checkpoint_interval",
-                    message: "checkpoint interval must be positive",
                 });
             }
             if d.upload_queue_capacity == 0 {
@@ -2012,10 +1843,7 @@ impl ShardedFixedWindowBuilder {
             }
             let metrics = Arc::new(inner);
             let fw = this.fresh_summary();
-            let slot = Arc::new(Mutex::new(CheckpointSlot {
-                frame: fw.encode_checkpoint(),
-                accepted_at: 0,
-            }));
+            let slot = Arc::new(Mutex::new(fw.encode_checkpoint()));
             let wal = this.shard_wal(shard, 0);
             let (sender, handle) =
                 this.spawn_worker(fw, Arc::clone(&metrics), Arc::clone(&slot), wal);
@@ -2198,17 +2026,11 @@ mod tests {
         // lands or is shed is timing-dependent, but the accounting
         // identity accepted + rejected + dropped == sent must hold
         // exactly once the snapshot barrier quiesces the shard.
-        let sharded = ShardedFixedWindow::with_options(
-            1,
-            8,
-            2,
-            0.5,
-            ShardedOptions {
-                queue_capacity: 1,
-                policy: OverloadPolicy::DropNewest,
-                ..ShardedOptions::default()
-            },
-        );
+        let sharded = ShardedFixedWindow::builder(1, 8, 2, 0.5)
+            .queue_capacity(1)
+            .policy(OverloadPolicy::DropNewest)
+            .build()
+            .expect("valid parameters");
         let mut sent = 0u64;
         for i in 0..20_000u64 {
             sharded.push_to(0, (i % 13) as f64).expect("never an error");
@@ -2592,17 +2414,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "queue capacity must be positive")]
     fn zero_queue_capacity_rejected() {
-        let _ = ShardedFixedWindow::with_options(
-            1,
-            8,
-            2,
-            0.5,
-            ShardedOptions {
-                queue_capacity: 0,
-                policy: OverloadPolicy::Block,
-                ..ShardedOptions::default()
-            },
-        );
+        let _ = ShardedFixedWindow::builder(1, 8, 2, 0.5)
+            .queue_capacity(0)
+            .build()
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
@@ -2714,6 +2529,32 @@ mod tests {
         );
     }
 
+    /// A copy of `store`'s objects for `shards` shards, with `edit`
+    /// applied to every frame's bytes.
+    fn store_copy(
+        store: &streamhist_core::MemStore,
+        shards: usize,
+        edit: impl Fn(&mut Vec<u8>),
+    ) -> streamhist_core::MemStore {
+        let copy = streamhist_core::MemStore::new();
+        for shard in 0..shards {
+            for id in store.list(shard).expect("listable") {
+                let mut bytes = store.get(&id).expect("readable");
+                match id.kind {
+                    streamhist_core::ObjectKind::Frame => {
+                        edit(&mut bytes);
+                        copy.put_frame(shard, id.seq, &bytes)
+                    }
+                    streamhist_core::ObjectKind::WalSegment => {
+                        copy.put_wal_segment(shard, id.seq, &bytes)
+                    }
+                }
+                .expect("writable");
+            }
+        }
+        copy
+    }
+
     #[test]
     fn fleet_save_and_load_round_trips_every_shard() {
         let mut sharded = ShardedFixedWindow::new(3, 16, 2, 0.5);
@@ -2721,40 +2562,44 @@ mod tests {
             let stream: Vec<f64> = (0..n).map(|i| (i % 4) as f64).collect();
             sharded.push_batch(s, stream).expect("alive");
         }
-        let mut save = Vec::new();
-        let written = sharded.checkpoint_all(&mut save).expect("fleet healthy");
-        assert_eq!(written, save.len() as u64);
+        let save = streamhist_core::MemStore::new();
+        let written = sharded.save_to_store(&save).expect("fleet healthy");
+        assert_eq!(written, save.stored_bytes());
         let snaps_before = sharded.snapshot_all();
         // Diverge, then load the save back: the divergence is erased.
         sharded.push_batch(0, vec![9.0, 9.0]).expect("alive");
-        sharded
-            .restore_all(&mut save.as_slice())
-            .expect("valid save");
+        sharded.load_from_store(&save).expect("valid save");
         let snaps_after = sharded.snapshot_all();
         assert_eq!(snaps_before, snaps_after, "load rewinds to the save");
         for m in sharded.metrics_all() {
             assert_eq!(m.restores, 1);
-            assert!(m.checkpoints_taken >= 1, "checkpoint_all counts");
+            assert!(m.checkpoints_taken >= 1, "save_to_store counts");
         }
         // Corrupt saves are rejected wholesale without touching workers.
-        let mut flipped = save.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x40;
-        assert!(sharded.restore_all(&mut flipped.as_slice()).is_err());
+        let flipped = store_copy(&save, 3, |f| {
+            let last = f.len() - 1;
+            f[last] ^= 0x40;
+        });
+        assert!(sharded.load_from_store(&flipped).is_err());
+        let truncated = store_copy(&save, 3, |f| f.truncate(f.len() - 3));
         assert!(
-            sharded
-                .restore_all(&mut save[..save.len() - 3].as_ref())
-                .is_err(),
-            "truncated fleet save rejected"
+            sharded.load_from_store(&truncated).is_err(),
+            "truncated frame rejected"
         );
         let snaps_final = sharded.snapshot_all();
         assert_eq!(snaps_final, snaps_after, "failed loads change nothing");
-        // A save from a differently-sized fleet is rejected up front.
-        let other = ShardedFixedWindow::new(2, 16, 2, 0.5);
-        let mut other_save = Vec::new();
-        other.checkpoint_all(&mut other_save).expect("healthy");
+        // A save from a larger fleet is rejected up front: its extra
+        // shard's records have nowhere to go.
+        let other = ShardedFixedWindow::new(4, 16, 2, 0.5);
+        other.push_batch(3, vec![1.0]).expect("alive");
+        let other_save = streamhist_core::MemStore::new();
+        other.save_to_store(&other_save).expect("healthy");
         let _ = other.join();
-        assert!(sharded.restore_all(&mut other_save.as_slice()).is_err());
+        assert_eq!(
+            sharded.load_from_store(&other_save).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+        assert_eq!(sharded.snapshot_all(), snaps_after);
         let _ = sharded.join();
     }
 
@@ -2763,8 +2608,10 @@ mod tests {
         let sharded = ShardedFixedWindow::new(2, 8, 2, 0.5);
         sharded.inject_worker_panic(1).expect("delivered");
         assert_eq!(sharded.snapshot(1), Err(ShardError { shard: 1 }));
-        let mut sink = Vec::new();
-        assert!(sharded.checkpoint_all(&mut sink).is_err());
+        assert!(sharded
+            .save_to_store(&streamhist_core::MemStore::new())
+            .is_err());
+        assert!(sharded.checkpoint().is_err());
         let _ = sharded.join();
     }
 
@@ -2775,11 +2622,8 @@ mod tests {
         interval: usize,
     ) -> ShardedFixedWindow {
         ShardedFixedWindow::builder(shards, 32, 2, 0.5)
-            .durability(
-                DurabilityOptions::new(store)
-                    .wal_sync(wal_sync)
-                    .checkpoint_interval(interval),
-            )
+            .checkpoint_interval(interval)
+            .durability(DurabilityOptions::new(store).wal_sync(wal_sync))
             .build()
             .expect("valid durable fleet")
     }
@@ -2789,7 +2633,6 @@ mod tests {
         let store = Arc::new(streamhist_core::MemStore::new());
         for bad in [
             DurabilityOptions::new(Arc::clone(&store) as _).wal_sync(0),
-            DurabilityOptions::new(Arc::clone(&store) as _).checkpoint_interval(0),
             DurabilityOptions::new(Arc::clone(&store) as _).upload_queue_capacity(0),
         ] {
             assert!(ShardedFixedWindow::builder(1, 8, 2, 0.5)
@@ -2797,6 +2640,17 @@ mod tests {
                 .build()
                 .is_err());
         }
+        // The one checkpoint interval is the fleet's, durable or not.
+        assert!(matches!(
+            ShardedFixedWindow::builder(1, 8, 2, 0.5)
+                .checkpoint_interval(0)
+                .durability(DurabilityOptions::new(Arc::clone(&store) as _))
+                .build(),
+            Err(StreamhistError::InvalidParameter {
+                param: "checkpoint_interval",
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -2945,5 +2799,77 @@ mod tests {
             .expect("store is valid");
         let summaries = joined_ok(restored);
         assert_eq!(summaries[0].total_pushed(), 12, "frame + WAL tail");
+    }
+
+    #[test]
+    fn crash_after_a_load_recovers_the_loaded_state_not_the_overwritten_one() {
+        // Regression: only the removed fleet-container load re-anchored the
+        // store, so after `load_from_store` into a durable fleet a crash
+        // recovered the pre-load frame and WAL and reported nothing lost.
+        let store = Arc::new(streamhist_core::MemStore::new());
+        let mut sharded = durable_fleet(1, Arc::clone(&store), 8, 32);
+        sharded.push_batch(0, vec![100.0; 200]).expect("alive");
+        let _ = sharded.snapshot(0).expect("barrier");
+        sharded.flush_wal();
+
+        let save = streamhist_core::MemStore::new();
+        let source = ShardedFixedWindow::new(1, 32, 2, 0.5);
+        source.push_batch(0, vec![1.0; 40]).expect("alive");
+        source.save_to_store(&save).expect("healthy");
+        let _ = source.join();
+        sharded.load_from_store(&save).expect("valid save");
+        assert_eq!(sharded.snapshot(0).expect("alive").0.point(0), 1.0);
+
+        sharded.inject_worker_panic(0).expect("delivered");
+        assert_eq!(sharded.snapshot(0), Err(ShardError { shard: 0 }));
+        assert_eq!(
+            sharded.respawn_shard(0),
+            RecoveryReport {
+                restored_len: 40,
+                lost_since_checkpoint: 0,
+            }
+        );
+        assert_eq!(sharded.snapshot(0).expect("alive").0.point(0), 1.0);
+        let _ = sharded.join();
+    }
+
+    #[test]
+    fn a_live_handoff_leaves_no_wal_gap_for_a_later_crash() {
+        // Regression: a live respawn restarted the WAL at the drained
+        // summary's length without shipping the unsynced records before
+        // it, so a later crash stopped replay at that gap and lost more
+        // than `wal_sync` records.
+        let store = Arc::new(streamhist_core::MemStore::new());
+        let mut sharded = durable_fleet(1, Arc::clone(&store), 8, 32);
+        // The 40-record batch cuts a frame at 40; 5 records stay unsynced.
+        sharded
+            .push_batch(0, (0..40).map(f64::from).collect())
+            .expect("alive");
+        sharded
+            .push_batch(0, (40..45).map(f64::from).collect())
+            .expect("alive");
+        assert_eq!(
+            sharded.respawn_shard(0),
+            RecoveryReport {
+                restored_len: 45,
+                lost_since_checkpoint: 0,
+            }
+        );
+        // Two full segments and a 4-record unsynced tail, then a crash.
+        sharded
+            .push_batch(0, (45..65).map(f64::from).collect())
+            .expect("alive");
+        let _ = sharded.snapshot(0).expect("barrier");
+        sharded.inject_worker_panic(0).expect("delivered");
+        assert_eq!(sharded.snapshot(0), Err(ShardError { shard: 0 }));
+        assert_eq!(
+            sharded.respawn_shard(0),
+            RecoveryReport {
+                restored_len: 61,
+                lost_since_checkpoint: 4,
+            },
+            "only the unsynced tail may be lost"
+        );
+        let _ = sharded.join();
     }
 }

@@ -28,11 +28,10 @@
 //!    absent, not dynamically skipped — the `bench_obs_overhead` bin
 //!    enforces a ≤2% budget on the disabled path). With the feature
 //!    enabled the hooks are live only after a tracer is installed — a
-//!    thread-scoped [`KernelTracer`] via [`set_thread_kernel_tracer`] or
-//!    [`ShardedFixedWindowBuilder::kernel_tracer`](crate::ShardedFixedWindowBuilder::kernel_tracer)
-//!    (worker threads self-install), or the deprecated process-global
-//!    [`install_kernel_tracer`] — and un-traced code pays one
-//!    thread-local read and a branch.
+//!    thread-scoped `KernelTracer` via `set_thread_kernel_tracer` or
+//!    `ShardedFixedWindowBuilder::kernel_tracer` (worker threads
+//!    self-install) — and un-traced code pays one thread-local read and a
+//!    branch.
 
 use streamhist_obs::MetricsRegistry;
 
@@ -116,8 +115,7 @@ pub fn publish_kernel_stats(
 }
 
 #[cfg(feature = "obs")]
-#[allow(deprecated)]
-pub use tracing::{install_kernel_tracer, kernel_tracer, set_thread_kernel_tracer, KernelTracer};
+pub use tracing::{set_thread_kernel_tracer, KernelTracer};
 
 #[cfg(feature = "obs")]
 pub(crate) use tracing::{active_kernel_tracer, FleetTiming};
@@ -127,17 +125,15 @@ mod tracing {
     //! The `obs`-gated phase tracer the kernel hooks write through.
     //!
     //! The kernel is constructed deep inside summaries that have no
-    //! registry parameter, so the hooks resolve their tracer out of band:
-    //! first a **thread-scoped** handle (installed by
+    //! registry parameter, so the hooks resolve their tracer out of band,
+    //! from a **thread-scoped** handle (installed by
     //! [`set_thread_kernel_tracer`] — fleet worker threads install their
     //! fleet's tracer automatically when built with
-    //! `ShardedFixedWindowBuilder::kernel_tracer`), then the deprecated
-    //! process-global fallback ([`install_kernel_tracer`]). Thread scoping
-    //! means two fleets in one process can report to different registries,
-    //! which the global never could.
+    //! `ShardedFixedWindowBuilder::kernel_tracer`). Thread scoping means
+    //! two fleets in one process can report to different registries.
 
     use std::cell::RefCell;
-    use std::sync::{Arc, OnceLock};
+    use std::sync::Arc;
 
     use streamhist_obs::{Counter, LatencyRecorder, MetricsRegistry};
 
@@ -279,18 +275,14 @@ mod tracing {
         }
     }
 
-    static TRACER: OnceLock<Arc<KernelTracer>> = OnceLock::new();
-
     thread_local! {
-        /// The thread-scoped tracer the kernel hooks prefer over the
-        /// deprecated process-global one.
+        /// The thread-scoped tracer the kernel hooks report to.
         static THREAD_TRACER: RefCell<Option<Arc<KernelTracer>>> = const { RefCell::new(None) };
     }
 
     /// Installs (or clears, with `None`) the calling thread's kernel
-    /// tracer. Kernel hooks on this thread report to it from now on,
-    /// taking precedence over any process-global tracer. Fleet worker
-    /// threads call this themselves when the fleet is built with
+    /// tracer. Kernel hooks on this thread report to it from now on. Fleet
+    /// worker threads call this themselves when the fleet is built with
     /// [`kernel_tracer`](crate::ShardedFixedWindowBuilder::kernel_tracer);
     /// call it directly only on threads that push into summaries without
     /// going through a fleet.
@@ -298,45 +290,12 @@ mod tracing {
         THREAD_TRACER.with(|t| *t.borrow_mut() = tracer);
     }
 
-    /// Installs the process-global kernel tracer, registering its metric
-    /// families into `registry`. Idempotent: the first call wins and
-    /// returns `true`; later calls are no-ops returning `false` (the
-    /// hooks keep reporting to the first registry).
-    #[deprecated(
-        since = "0.1.0",
-        note = "process-global state cannot serve two fleets; build the fleet with \
-                `ShardedFixedWindowBuilder::kernel_tracer` (or call \
-                `set_thread_kernel_tracer`) instead"
-    )]
-    pub fn install_kernel_tracer(registry: &MetricsRegistry) -> bool {
-        let mut fresh = false;
-        TRACER.get_or_init(|| {
-            fresh = true;
-            Arc::new(KernelTracer::register(registry))
-        });
-        fresh
-    }
-
-    /// The installed process-global tracer, if any.
-    #[deprecated(
-        since = "0.1.0",
-        note = "reads only the deprecated process-global tracer; thread-scoped tracers \
-                installed via `set_thread_kernel_tracer` are invisible to it"
-    )]
-    #[inline(always)]
-    pub fn kernel_tracer() -> Option<&'static KernelTracer> {
-        TRACER.get().map(Arc::as_ref)
-    }
-
     /// The tracer the kernel hooks should report to right now: the
-    /// thread-scoped tracer when one is installed, else the deprecated
-    /// process-global one. This is the hooks' only entry point.
+    /// calling thread's, if one is installed. This is the hooks' only
+    /// entry point.
     #[inline(always)]
     pub(crate) fn active_kernel_tracer() -> Option<Arc<KernelTracer>> {
-        if let Some(t) = THREAD_TRACER.with(|t| t.borrow().clone()) {
-            return Some(t);
-        }
-        TRACER.get().cloned()
+        THREAD_TRACER.with(|t| t.borrow().clone())
     }
 }
 
@@ -379,21 +338,6 @@ mod tests {
 
     #[cfg(feature = "obs")]
     #[test]
-    #[allow(deprecated)]
-    fn tracer_install_is_idempotent() {
-        let registry = MetricsRegistry::new();
-        let first = install_kernel_tracer(&registry);
-        let second = install_kernel_tracer(&registry);
-        assert!(!second, "second install must be a no-op");
-        // Whether `first` is true depends on test ordering within the
-        // process (another test may have installed already); either way a
-        // tracer must now be visible to the hooks.
-        let _ = first;
-        assert!(kernel_tracer().is_some());
-    }
-
-    #[cfg(feature = "obs")]
-    #[test]
     fn thread_tracer_takes_precedence_and_is_clearable() {
         use std::sync::Arc;
         let registry = MetricsRegistry::new();
@@ -406,12 +350,11 @@ mod tests {
             active.pushes.inc();
             assert_eq!(tracer.pushes.get(), 1, "hooks must hit the thread tracer");
             set_thread_kernel_tracer(None);
-            // With the thread tracer cleared, only the process-global
-            // fallback (whatever test ordering installed) remains.
-            if let Some(fallback) = super::tracing::active_kernel_tracer() {
-                fallback.pushes.inc();
-                assert_eq!(tracer.pushes.get(), 1, "cleared tracer must not be hit");
-            }
+            assert!(
+                super::tracing::active_kernel_tracer().is_none(),
+                "a cleared thread has no tracer at all"
+            );
+            assert_eq!(tracer.pushes.get(), 1, "cleared tracer must not be hit");
         })
         .join()
         .expect("tracer thread panicked");

@@ -264,26 +264,6 @@ impl TimeWindowHistogram {
         out
     }
 
-    /// Deprecated spelling of [`try_push_at`](Self::try_push_at).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`try_push_at`](Self::try_push_at).
-    #[deprecated(note = "renamed to `try_push_at`")]
-    pub fn try_observe(&mut self, ts: u64, v: f64) -> Result<(), StreamhistError> {
-        self.try_push_at(ts, v)
-    }
-
-    /// Deprecated spelling of [`push_at`](Self::push_at).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`push_at`](Self::push_at).
-    #[deprecated(note = "renamed to `push_at`")]
-    pub fn observe(&mut self, ts: u64, v: f64) {
-        self.push_at(ts, v);
-    }
-
     /// Advances the clock without adding a point (e.g. a heartbeat),
     /// evicting anything that has aged out.
     ///
@@ -668,15 +648,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_observe_aliases_still_ingest() {
-        let mut tw = TimeWindowHistogram::new(10, 2, 0.5);
-        tw.observe(0, 1.0);
-        tw.try_observe(1, 2.0).expect("alias accepts good record");
-        assert_eq!(tw.window(), vec![1.0, 2.0]);
-    }
-
-    #[test]
     fn push_batch_at_counts_rejects_exactly() {
         let mut tw = TimeWindowHistogram::new(10, 2, 0.5);
         tw.push_at(5, 1.0);
@@ -795,7 +766,7 @@ mod tests {
     }
 
     #[test]
-    fn try_observe_rejects_bad_input_and_leaves_summary_usable() {
+    fn try_push_at_rejects_bad_input_and_leaves_summary_usable() {
         let mut tw = TimeWindowHistogram::new(5, 2, 0.5);
         tw.try_push_at(10, 1.0).expect("good record accepted");
         assert!(matches!(

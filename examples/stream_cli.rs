@@ -229,7 +229,7 @@ const QUERY_USAGE: &str = "usage: stream_cli query --addr HOST:PORT VERB [ARGS]\
     \x20 selectivity LO HI       fraction of values v with LO < v <= HI\n\
     \x20 shard-stats SHARD       one shard's counters\n\
     \x20 respawn-shard SHARD     respawn one shard's worker\n\
-    \x20 checkpoint-all          checkpoint the fleet server-side\n\
+    \x20 checkpoint-all          refresh every shard's recovery point\n\
     \x20 wal-status              the fleet's durability (WAL) status\n\
     \x20 health                  per-shard supervisor state\n\
     a degraded answer (some shards down, server in degraded mode) is\n\
@@ -355,7 +355,7 @@ fn run_query(argv: &[String], trace: Option<u64>) -> i32 {
             }),
             ["checkpoint-all"] => Ok(client
                 .checkpoint_all()
-                .map(|bytes| format!("checkpointed {bytes}B server-side"))),
+                .map(|bytes| format!("checkpointed every shard in place: {bytes}B of frames"))),
             ["wal-status"] => Ok(client.wal_status().map(|s| {
                 if s.enabled {
                     format!(

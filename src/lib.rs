@@ -116,9 +116,6 @@ pub mod obs {
         SampleValue, SeriesSnapshot, SlidingSum, DEFAULT_CAPACITY,
     };
     pub use streamhist_stream::telemetry::publish_kernel_stats;
-    #[allow(deprecated)]
-    #[cfg(feature = "obs")]
-    pub use streamhist_stream::telemetry::{install_kernel_tracer, kernel_tracer};
     #[cfg(feature = "obs")]
     pub use streamhist_stream::telemetry::{set_thread_kernel_tracer, KernelTracer};
 }

@@ -375,13 +375,16 @@ fn crash_consistency_fuzz() {
         "fleet healthy after recovery"
     );
 
-    // A checkpoint taken at quiescence round-trips the whole fleet
-    // bit-for-bit.
-    let mut save = Vec::new();
-    sharded.checkpoint_all(&mut save).expect("fleet healthy");
-    sharded
-        .restore_all(&mut save.as_slice())
-        .expect("own save loads");
+    // A save taken at quiescence round-trips the whole fleet bit-for-bit.
+    let store = MemStore::new();
+    sharded.save_to_store(&store).expect("fleet healthy");
+    sharded.load_from_store(&store).expect("own save loads");
+    // Every shard's save is one frame; concatenated, they are the
+    // artifact a failure dumps.
+    let save: Vec<u8> = (0..SHARDS)
+        .flat_map(|shard| store.list(shard).expect("listable"))
+        .flat_map(|id| store.get(&id).expect("readable"))
+        .collect();
     let reloaded = sharded.snapshot_all();
     if snaps != reloaded {
         let p = dump_artifact(&format!("fuzz-fleet-save-seed-{seed}"), &save);
@@ -464,10 +467,13 @@ fn replay_from_store(
 /// [`FailingStore`] fails every 7th store call (exercising the uploader's
 /// retry path on puts, lists, gets, and truncates alike), and workers are
 /// panicked at arbitrary points — including while segments and frames are
-/// still queued behind the uploader. Each respawn must recover from
-/// **last durable frame + WAL replay** with *exact* loss accounting:
+/// still queued behind the uploader — or respawned while still live.
+/// Each crash respawn must recover from **last durable frame + WAL
+/// replay** with *exact* loss accounting:
 ///
 /// * `restored_len + lost_since_checkpoint == records accepted`, always;
+/// * a live respawn is a lossless handoff that anchors the store at the
+///   drained summary, so the bounds below still hold for crashes after it;
 /// * on even seeds every batch is a whole number of WAL segments, so the
 ///   unsynced tail is always empty and `lost_since_checkpoint == 0` — a
 ///   synced record is never lost;
@@ -503,7 +509,6 @@ fn crash_mid_upload_fuzz() {
         .durability(
             DurabilityOptions::new(Arc::clone(&store) as _)
                 .wal_sync(WAL_SYNC)
-                .checkpoint_interval(32)
                 .upload_queue_capacity(16),
         )
         .build()
@@ -528,17 +533,30 @@ fn crash_mid_upload_fuzz() {
                 .push_batch(shard, batch.clone())
                 .expect("worker alive between injected crashes");
             lineage[shard].extend_from_slice(&batch);
-        } else if roll < 90 {
+        } else if roll < 86 {
             // Barrier: drains the shard's queue, so the WAL keeps pace.
             fleet.snapshot(shard).expect("worker alive");
         } else {
-            // Crash mid-upload: the panic lands while segments (and
-            // possibly a frame) are still queued behind the uploader.
-            fleet
-                .inject_worker_panic(shard)
-                .expect("worker alive to receive the panic");
-            assert!(fleet.snapshot(shard).is_err(), "death is observable");
-            let report = fleet.respawn_shard(shard);
+            let report = if roll < 92 {
+                // Live handoff: the drained summary, unsynced tail
+                // included, must become the store's anchor, or a later
+                // crash replays up to a gap and loses more than the tail.
+                let report = fleet.respawn_shard(shard);
+                assert_eq!(
+                    (report.restored_len, report.lost_since_checkpoint),
+                    (lineage[shard].len() as u64, 0),
+                    "seed {seed} step {step} shard {shard}: a handoff is lossless"
+                );
+                report
+            } else {
+                // Crash mid-upload: the panic lands while segments (and
+                // possibly a frame) are still queued behind the uploader.
+                fleet
+                    .inject_worker_panic(shard)
+                    .expect("worker alive to receive the panic");
+                assert!(fleet.snapshot(shard).is_err(), "death is observable");
+                fleet.respawn_shard(shard)
+            };
             let lost = usize::try_from(report.lost_since_checkpoint).expect("small");
             let restored = usize::try_from(report.restored_len).expect("small");
             assert_eq!(
@@ -795,7 +813,6 @@ fn supervised_chaos_sweep() {
         .durability(
             DurabilityOptions::new(Arc::clone(&store) as _)
                 .wal_sync(8)
-                .checkpoint_interval(16)
                 .upload_queue_capacity(16),
         )
         .build()
