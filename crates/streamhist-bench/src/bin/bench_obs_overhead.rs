@@ -3,45 +3,41 @@
 //! The observability design promises that metrics stay out of the hot
 //! path: the shard counters are plain relaxed atomics whether or not a
 //! [`MetricsRegistry`] is attached (attaching only swaps in shared cells),
-//! and the kernel phase-tracing hooks compile to no-ops without the `obs`
-//! cargo feature. This bench makes both claims measurable.
+//! and span-style tracing costs nothing until a [`KernelTracer`] arms it.
+//! This bench makes both claims measurable.
 //!
 //! Modes (each the same workload — sharded batch ingestion with snapshot
-//! barriers — best of [`REPEATS`] runs):
+//! barriers):
 //!
-//! * `baseline` — no registry attached, whatever feature state this
-//!   binary was compiled with;
-//! * `obs_off` — registry attached, compiled WITHOUT `--features obs`
-//!   (the production default). Guarded: must stay within
-//!   `MAX_REGRESSION` of `baseline` or the bench exits nonzero;
-//! * `recorder` — registry *and* an explicit [`FlightRecorder`] attached,
-//!   compiled WITHOUT `--features obs`. Guarded: must stay within
-//!   `MAX_REGRESSION` of `obs_off`, pinning the flight recorder's
-//!   promise that an idle ring (no shard deaths, no overload) costs the
-//!   ingest path nothing beyond noise — the hot path never touches it
-//!   except through the sampled overload probe, which a lossless run
-//!   never takes;
-//! * `obs_on` — registry attached, compiled WITH `--features obs` but no
-//!   kernel tracer installed (one thread-local + `OnceLock` load per
-//!   hook);
-//! * `obs_on_tracing` — registry attached and a fleet-scoped kernel
-//!   tracer handed to the builder (worker threads install it
-//!   thread-locally), so every push/build is timed into GK latency
-//!   summaries. Unguarded: this is the opt-in deep-tracing mode and its
-//!   cost is reported, not bounded.
+//! * `baseline` — nothing attached;
+//! * `registry` — registry attached, no tracer: a monitored production
+//!   fleet. Guarded: must stay within `MAX_REGRESSION` of `baseline`;
+//! * `recorder` — registry *and* an explicit [`FlightRecorder`] attached.
+//!   Guarded: must stay within `MAX_REGRESSION` of `registry`, pinning the
+//!   flight recorder's promise that an idle ring (no shard deaths, no
+//!   overload) costs the ingest path nothing beyond noise;
+//! * `tracing` — registry attached and a fleet-scoped kernel tracer handed
+//!   to the builder (worker threads install it thread-locally), so every
+//!   build and every queued command is timed into GK latency summaries.
+//!   Unguarded: this is the opt-in deep-tracing mode and its cost is
+//!   reported, not bounded.
+//!
+//! Every repeat runs all four modes back to back, in an order rotated by
+//! one mode per repeat, so a shared machine's slow drift lands on every
+//! mode alike. The guards compare the median over repeats of each
+//! repeat's *paired* throughput ratio, not best-of-N minima taken at
+//! different moments.
+//!
+//! A noise-free structural check rides along: the `registry` fleet must
+//! record no `streamhist_shard_queue_wait_seconds` sample (an untraced
+//! fleet reads no clock on its queues), the `tracing` fleet at least one.
 //!
 //! Every mode's workload ends with one `snapshot_global()`, so the merge
-//! path — including the live accuracy audit that publishes the
-//! `streamhist_snapshot_sse_estimate` / `_error_bound` / `_error_ratio`
-//! gauges — is inside the measured region in all rows.
-//!
-//! One compilation can only observe its own feature state, so the JSON
-//! artifact is *merged*, not overwritten: rows measured by the other
-//! build are preserved. Run both to fill all four rows:
+//! path — including the live accuracy audit gauges — is inside the
+//! measured region in all rows.
 //!
 //! ```text
 //! cargo run --release -p streamhist-bench --bin bench_obs_overhead
-//! cargo run --release -p streamhist-bench --features obs --bin bench_obs_overhead
 //! ```
 //!
 //! Output: `BENCH_obs_overhead.json` in the current directory.
@@ -52,15 +48,12 @@ use std::sync::Arc;
 use std::time::Instant;
 use streamhist_bench::full_scale;
 use streamhist_data::utilization_trace;
-use streamhist_obs::{FlightRecorder, MetricsRegistry};
-#[cfg(feature = "obs")]
+use streamhist_obs::{FlightRecorder, MetricsRegistry, SampleValue};
 use streamhist_stream::telemetry::KernelTracer;
 use streamhist_stream::ShardedFixedWindow;
 
-const REPEATS: usize = 3;
-/// `obs_off` may run at no less than this fraction of `baseline`, and
-/// `recorder` no less than this fraction of `obs_off`.
-#[cfg(not(feature = "obs"))]
+/// `registry` may run at no less than this fraction of `baseline`, and
+/// `recorder` no less than this fraction of `registry`.
 const MAX_REGRESSION: f64 = 0.98;
 
 const SHARDS: usize = 2;
@@ -69,42 +62,30 @@ const B: usize = 8;
 const EPS: f64 = 0.1;
 const BATCH: usize = 512;
 
-struct Row {
-    mode: &'static str,
-    points: usize,
-    secs: f64,
-}
-
-impl Row {
-    fn pps(&self) -> f64 {
-        self.points as f64 / self.secs
-    }
-}
+const MODES: [&str; 4] = ["baseline", "registry", "recorder", "tracing"];
 
 /// What a pass attaches to the fleet; each mode is one combination.
-#[derive(Clone, Copy, Default)]
-struct PassCfg<'a> {
-    registry: Option<&'a Arc<MetricsRegistry>>,
-    recorder: Option<&'a Arc<FlightRecorder>>,
-    #[cfg(feature = "obs")]
-    tracer: Option<&'a Arc<KernelTracer>>,
+struct Attach {
+    registry: Arc<MetricsRegistry>,
+    recorder: Arc<FlightRecorder>,
+    tracer: Arc<KernelTracer>,
 }
 
-/// One timed pass: scatter the stream through the fleet in slabs, then a
-/// per-shard snapshot barrier plus one `snapshot_global()` — so elapsed
-/// time covers every queued record, one histogram materialization per
-/// shard, and one fleet-global merge with its accuracy audit.
-fn one_pass(stream: &[f64], cfg: PassCfg<'_>) -> f64 {
-    let mut builder = ShardedFixedWindow::builder(SHARDS, WINDOW, B, EPS).fleet_label("bench");
-    if let Some(reg) = cfg.registry {
-        builder = builder.registry(Arc::clone(reg));
+/// One timed pass of `mode`: scatter the stream through the fleet in
+/// slabs, then a per-shard snapshot barrier plus one `snapshot_global()` —
+/// so elapsed time covers every queued record, one histogram
+/// materialization per shard, and one fleet-global merge with its
+/// accuracy audit. Each mode reports under its own `fleet` label.
+fn one_pass(stream: &[f64], mode: &str, with: &Attach) -> f64 {
+    let mut builder = ShardedFixedWindow::builder(SHARDS, WINDOW, B, EPS).fleet_label(mode);
+    if mode != "baseline" {
+        builder = builder.registry(Arc::clone(&with.registry));
     }
-    if let Some(rec) = cfg.recorder {
-        builder = builder.recorder(Arc::clone(rec));
+    if mode == "recorder" {
+        builder = builder.recorder(Arc::clone(&with.recorder));
     }
-    #[cfg(feature = "obs")]
-    if let Some(tracer) = cfg.tracer {
-        builder = builder.kernel_tracer(Arc::clone(tracer));
+    if mode == "tracing" {
+        builder = builder.kernel_tracer(Arc::clone(&with.tracer));
     }
     let sw = builder.build().expect("valid config");
     let t0 = Instant::now();
@@ -122,181 +103,138 @@ fn one_pass(stream: &[f64], cfg: PassCfg<'_>) -> f64 {
     secs
 }
 
-fn bench_mode(mode: &'static str, stream: &[f64], cfg: PassCfg<'_>) -> Row {
-    // Best-of-N: the minimum is the least-noisy estimator for a
-    // throughput bench on a shared machine.
-    let secs = (0..REPEATS)
-        .map(|_| one_pass(stream, cfg))
-        .fold(f64::INFINITY, f64::min);
-    Row {
-        mode,
-        points: stream.len(),
-        secs,
-    }
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
-/// Rows this build cannot measure, recovered from an existing artifact so
-/// the two feature-state runs compose into one file. The format is our
-/// own (one row object per line), so a line scan is exact, not heuristic.
-fn preserved_rows(path: &str, measured: &[Row]) -> Vec<String> {
-    let Ok(existing) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    existing
-        .lines()
-        .filter(|line| {
-            let t = line.trim_start();
-            t.starts_with("{\"mode\":")
-                && !measured
-                    .iter()
-                    .any(|r| t.contains(&format!("\"{}\"", r.mode)))
+/// Samples recorded in latency family `family` under `{fleet = fleet}`.
+fn latency_samples(registry: &MetricsRegistry, family: &str, fleet: &str) -> u64 {
+    registry
+        .gather()
+        .iter()
+        .filter(|f| f.name == family)
+        .flat_map(|f| &f.series)
+        .filter(|s| s.labels.iter().any(|(k, v)| k == "fleet" && v == fleet))
+        .map(|s| match &s.value {
+            SampleValue::Summary(l) => l.count,
+            _ => 0,
         })
-        .map(|line| line.trim_end_matches(',').to_string())
-        .collect()
-}
-
-fn to_json(measured: &[Row], preserved: &[String]) -> String {
-    let mut lines: Vec<String> = preserved.to_vec();
-    for r in measured {
-        lines.push(format!(
-            "    {{\"mode\": \"{}\", \"obs_feature\": {}, \"points\": {}, \"secs\": {:.6}, \"points_per_sec\": {:.1}}}",
-            r.mode,
-            cfg!(feature = "obs"),
-            r.points,
-            r.secs,
-            r.pps()
-        ));
-    }
-    // Canonical order keeps diffs of the committed datapoint readable.
-    let order = [
-        "baseline",
-        "obs_off",
-        "recorder",
-        "obs_on",
-        "obs_on_tracing",
-    ];
-    lines.sort_by_key(|l| order.iter().position(|m| l.contains(&format!("\"{m}\""))));
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(
-        out,
-        "  \"config\": {{\"shards\": {SHARDS}, \"window\": {WINDOW}, \"b\": {B}, \"eps\": {EPS}, \"batch\": {BATCH}, \"repeats\": {REPEATS}}},"
-    );
-    out.push_str("  \"rows\": [\n");
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
+        .sum()
 }
 
 fn main() {
-    let len = if full_scale() { 4_000_000 } else { 800_000 };
+    // Many short pairs beat a few long ones: on a shared 2-vCPU VM a pass
+    // varies by ~10%, mostly at pass granularity, so the median paired
+    // ratio tightens with the number of repeats.
+    let (len, repeats) = if full_scale() {
+        (2_000_000, 121)
+    } else {
+        (1_000_000, 61)
+    };
     let stream = utilization_trace(len, 77);
     let registry = Arc::new(MetricsRegistry::new());
+    let with = Attach {
+        tracer: Arc::new(KernelTracer::new(&registry)),
+        recorder: Arc::new(FlightRecorder::default()),
+        registry,
+    };
 
     // Warm-up pass (untimed): fault in the stream, spin up and tear down
-    // one fleet, so the first measured mode is not charged for cold-start.
-    one_pass(&stream, PassCfg::default());
+    // one fleet, so the first measured pass is not charged for cold-start.
+    one_pass(&stream, "baseline", &with);
 
     println!(
         "BENCH-OBS-OVERHEAD: {SHARDS} shards, window {WINDOW}, B {B}, eps {EPS}, \
-         stream {len}, obs feature {}",
-        cfg!(feature = "obs")
+         stream {len}, {repeats} interleaved repeats"
     );
 
-    let with_registry = PassCfg {
-        registry: Some(&registry),
-        ..PassCfg::default()
-    };
-    let mut rows = vec![bench_mode("baseline", &stream, PassCfg::default())];
-    #[cfg(not(feature = "obs"))]
-    {
-        rows.push(bench_mode("obs_off", &stream, with_registry));
-        let recorder = Arc::new(FlightRecorder::default());
-        // Feature-off, `registry` + `recorder` are ALL the fields, but the
-        // obs build adds `tracer` — keep the update syntax for both.
-        #[allow(clippy::needless_update)]
-        rows.push(bench_mode(
-            "recorder",
-            &stream,
-            PassCfg {
-                registry: Some(&registry),
-                recorder: Some(&recorder),
-                ..PassCfg::default()
-            },
-        ));
-        // A lossless run records nothing; the ring must still be empty.
-        assert_eq!(recorder.recorded(), 0, "idle recorder captured events");
+    // secs[m][r]: mode m's time in repeat r.
+    let mut secs = vec![Vec::with_capacity(repeats); MODES.len()];
+    for r in 0..repeats {
+        for i in 0..MODES.len() {
+            let m = (r + i) % MODES.len();
+            secs[m].push(one_pass(&stream, MODES[m], &with));
+        }
     }
-    #[cfg(feature = "obs")]
-    {
-        rows.push(bench_mode("obs_on", &stream, with_registry));
-        // Fleet-scoped tracer: the builder hands it to worker threads,
-        // which install it thread-locally — nothing process-global, so
-        // mode order no longer matters.
-        let tracer = Arc::new(KernelTracer::new(&registry));
-        rows.push(bench_mode(
-            "obs_on_tracing",
-            &stream,
-            PassCfg {
-                registry: Some(&registry),
-                tracer: Some(&tracer),
-                ..PassCfg::default()
-            },
-        ));
-    }
+    // A lossless run records nothing; the ring must still be empty.
+    assert_eq!(with.recorder.recorded(), 0, "idle recorder captured events");
 
-    for r in &rows {
-        println!(
-            "{:>16} {:>10} points {:>9.3}s {:>12.0} points/sec",
-            r.mode,
-            r.points,
-            r.secs,
-            r.pps()
-        );
-    }
+    let idx = |mode: &str| MODES.iter().position(|m| *m == mode).expect("mode");
+    // Median over repeats of the paired throughput ratio `mode / reference`.
+    let paired = |mode: &str, reference: &str| {
+        let (a, b) = (&secs[idx(mode)], &secs[idx(reference)]);
+        median(b.iter().zip(a).map(|(rs, ms)| rs / ms).collect())
+    };
+    let ratios = [
+        ("registry", "baseline", paired("registry", "baseline")),
+        ("recorder", "registry", paired("recorder", "registry")),
+        ("tracing", "registry", paired("tracing", "registry")),
+    ];
+    let queue_wait =
+        |mode: &str| latency_samples(&with.registry, "streamhist_shard_queue_wait_seconds", mode);
+    let (untraced_waits, traced_waits) = (queue_wait("registry"), queue_wait("tracing"));
+
+    let mut json = String::new();
+    json.push_str("{\n");
+    let _ = writeln!(
+        json,
+        "  \"config\": {{\"shards\": {SHARDS}, \"window\": {WINDOW}, \"b\": {B}, \"eps\": {EPS}, \"batch\": {BATCH}, \"repeats\": {repeats}}},"
+    );
+    json.push_str("  \"rows\": [\n");
+    let rows: Vec<String> = MODES
+        .iter()
+        .zip(&secs)
+        .map(|(mode, s)| {
+            let med = median(s.clone());
+            println!(
+                "{mode:>10} {len:>10} points {med:>9.3}s median {:>12.0} points/sec",
+                len as f64 / med
+            );
+            format!(
+                "    {{\"mode\": \"{mode}\", \"points\": {len}, \"secs_median\": {med:.6}, \"points_per_sec\": {:.1}}}",
+                len as f64 / med
+            )
+        })
+        .collect();
+    json.push_str(&rows.join(",\n"));
+    json.push_str("\n  ],\n  \"paired_ratios\": {");
+    let pairs: Vec<String> = ratios
+        .iter()
+        .map(|(m, r, x)| {
+            println!(
+                "{m} vs {r}: {:.1}% (median paired throughput ratio)",
+                100.0 * x
+            );
+            format!("\"{m}_vs_{r}\": {x:.4}")
+        })
+        .collect();
+    json.push_str(&pairs.join(", "));
+    let _ = writeln!(
+        json,
+        "}},\n  \"queue_wait_samples\": {{\"registry\": {untraced_waits}, \"tracing\": {traced_waits}}}\n}}"
+    );
+    println!("queue-wait samples: registry {untraced_waits}, tracing {traced_waits}");
 
     let path = "BENCH_obs_overhead.json";
-    let json = to_json(&rows, &preserved_rows(path, &rows));
     std::fs::write(path, &json).expect("write BENCH_obs_overhead.json");
     println!("wrote {path}");
 
-    // The guard only applies to the production default (feature off):
-    // attaching a registry must not tax ingestion beyond noise, because
-    // the counters are the same relaxed atomics either way.
-    #[cfg(not(feature = "obs"))]
-    {
-        let base = rows.iter().find(|r| r.mode == "baseline").expect("row");
-        let off = rows.iter().find(|r| r.mode == "obs_off").expect("row");
-        let rec = rows.iter().find(|r| r.mode == "recorder").expect("row");
-        let ratio = off.pps() / base.pps();
-        println!(
-            "obs_off vs baseline: {:.1}% ({:.0} vs {:.0} points/sec)",
-            100.0 * ratio,
-            off.pps(),
-            base.pps()
-        );
+    assert_eq!(
+        untraced_waits, 0,
+        "an untraced fleet with a registry recorded queue-wait samples"
+    );
+    assert!(
+        traced_waits >= 1,
+        "a traced fleet recorded no queue-wait samples"
+    );
+    for (mode, reference, ratio) in &ratios[..2] {
         assert!(
-            ratio >= MAX_REGRESSION,
-            "registry attachment regressed feature-off ingestion by more than \
-             {:.0}%: {:.0} vs {:.0} points/sec",
+            *ratio >= MAX_REGRESSION,
+            "{mode} regressed ingestion versus {reference} by more than {:.0}%: \
+             median paired ratio {:.1}%",
             100.0 * (1.0 - MAX_REGRESSION),
-            off.pps(),
-            base.pps()
-        );
-        let rec_ratio = rec.pps() / off.pps();
-        println!(
-            "recorder vs obs_off: {:.1}% ({:.0} vs {:.0} points/sec)",
-            100.0 * rec_ratio,
-            rec.pps(),
-            off.pps()
-        );
-        assert!(
-            rec_ratio >= MAX_REGRESSION,
-            "an idle flight recorder regressed feature-off ingestion by more \
-             than {:.0}%: {:.0} vs {:.0} points/sec",
-            100.0 * (1.0 - MAX_REGRESSION),
-            rec.pps(),
-            off.pps()
+            100.0 * ratio
         );
     }
 }

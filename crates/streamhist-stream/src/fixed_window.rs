@@ -290,13 +290,9 @@ impl FixedWindowHistogram {
             self.raw.pop_front();
         }
         self.raw.push_back(v);
-        #[cfg(feature = "obs")]
         let rebases0 = self.prefix.rebases();
         self.prefix.push(v);
-        #[cfg(feature = "obs")]
-        if let Some(t) = crate::telemetry::active_kernel_tracer() {
-            t.rebases.inc_by((self.prefix.rebases() - rebases0) as u64);
-        }
+        self.trace_rebases(rebases0);
         self.total_pushed += 1;
         self.generation += 1;
         Ok(())
@@ -319,7 +315,6 @@ impl FixedWindowHistogram {
     /// per slab instead of one per point in the paper's per-point
     /// maintenance loop.
     pub fn push_batch(&mut self, values: &[f64]) -> BatchOutcome {
-        #[cfg(feature = "obs")]
         let rebases0 = self.prefix.rebases();
         let mut out = BatchOutcome::default();
         let cap = self.prefix.capacity();
@@ -352,11 +347,20 @@ impl FixedWindowHistogram {
         if out.accepted > 0 {
             self.generation += 1;
         }
-        #[cfg(feature = "obs")]
-        if let Some(t) = crate::telemetry::active_kernel_tracer() {
-            t.rebases.inc_by((self.prefix.rebases() - rebases0) as u64);
-        }
+        self.trace_rebases(rebases0);
         out
+    }
+
+    /// Reports the rebases since the prefix store counted `rebases0` to
+    /// the thread's kernel tracer. Rebases are rare, so the common case
+    /// is one comparison and no tracer lookup.
+    fn trace_rebases(&self, rebases0: usize) {
+        let rebases = self.prefix.rebases() - rebases0;
+        if rebases > 0 {
+            if let Some(t) = crate::telemetry::active_kernel_tracer() {
+                t.rebases.inc_by(rebases as u64);
+            }
+        }
     }
 
     /// Restores the summary to its freshly-constructed state, keeping the

@@ -402,9 +402,8 @@ impl Kernel {
     /// re-evaluating every level there and extending-or-starting each
     /// queue's tail interval (paper Fig. 3 lines 7-10). Cost `O(B · q)`.
     pub fn push_point<P: PrefixProvider>(&mut self, p: &P) {
-        // Phase tracing (`obs` feature): one relaxed load when no tracer
-        // is installed; timing + eval-delta accounting when one is.
-        #[cfg(feature = "obs")]
+        // Phase tracing: one thread-local read when no tracer is
+        // installed; timing + eval-delta accounting when one is.
         let trace = crate::telemetry::active_kernel_tracer()
             .map(|t| (t, self.evals, std::time::Instant::now()));
 
@@ -444,7 +443,6 @@ impl Kernel {
 
         self.top = Some(herrs[self.b - 1]);
 
-        #[cfg(feature = "obs")]
         if let Some((t, evals0, start)) = trace {
             t.pushes.inc();
             t.evals.inc_by((self.evals - evals0) as u64);
@@ -499,7 +497,6 @@ impl Kernel {
 
     /// Collects arena garbage immediately, remapping every retained handle.
     pub fn compact_now(&mut self) {
-        #[cfg(feature = "obs")]
         if let Some(t) = crate::telemetry::active_kernel_tracer() {
             t.compactions.inc();
         }
@@ -686,7 +683,6 @@ impl Kernel {
     /// then the level-`B` minimization at the window end produces the
     /// histogram. Shared by the count-based and time-based window types.
     pub fn build<P: PrefixProvider>(p: &P, b: usize, delta: f64) -> (Histogram, KernelStats) {
-        #[cfg(feature = "obs")]
         let trace =
             crate::telemetry::active_kernel_tracer().map(|t| (t, std::time::Instant::now()));
 
@@ -698,6 +694,7 @@ impl Kernel {
             levels: Vec::with_capacity(b.saturating_sub(1)),
             evals: 0,
             searches: 0,
+            probes: 0,
         };
         let top = (m > 0).then(|| {
             for k in 1..b {
@@ -711,11 +708,13 @@ impl Kernel {
         });
 
         // A fresh build starts its work counters at zero, so the totals
-        // here are exactly this build's work.
-        #[cfg(feature = "obs")]
+        // here are exactly this build's work. Every search creates one
+        // interval.
         if let Some((t, start)) = trace {
             t.builds.inc();
             t.evals.inc_by(build.evals as u64);
+            t.probes.inc_by(build.probes);
+            t.intervals.inc_by(build.searches as u64);
             t.build_seconds.record(start.elapsed());
         }
 
@@ -778,6 +777,9 @@ struct BatchBuild<'p, P> {
     levels: Vec<BatchLevel>,
     evals: usize,
     searches: usize,
+    /// Binary-search probes, kept for the tracer (`evals` also counts
+    /// each interval's start and the final minimization).
+    probes: u64,
 }
 
 impl<P: PrefixProvider> BatchBuild<'_, P> {
@@ -787,10 +789,6 @@ impl<P: PrefixProvider> BatchBuild<'_, P> {
     /// endpoint by binary search over the monotone `HERROR[·, k]`. Probes
     /// only minimize; the chain is built once, for the endpoint kept.
     fn create_list(&mut self, k: usize, m: usize) -> BatchLevel {
-        // Probe count is accumulated locally and flushed once per call so
-        // tracing adds no atomics inside the search loop.
-        #[cfg(feature = "obs")]
-        let mut probes: u64 = 0;
         let p = self.p;
         let lower = k.checked_sub(2).map(|l| &self.levels[l]);
         let mut level = BatchLevel::default();
@@ -807,10 +805,7 @@ impl<P: PrefixProvider> BatchBuild<'_, P> {
             let mut hi = m - 1;
             let mut lo_val = (t, pick_a);
             while lo < hi {
-                #[cfg(feature = "obs")]
-                {
-                    probes += 1;
-                }
+                self.probes += 1;
                 let mid = lo + (hi - lo).div_ceil(2);
                 self.evals += 1;
                 let hv = batch_min(p, lower, mid);
@@ -834,11 +829,6 @@ impl<P: PrefixProvider> BatchBuild<'_, P> {
         level.first.reserve_exact(m);
         for (j, &end) in level.idx.iter().enumerate() {
             level.first.resize(end + 1, j);
-        }
-        #[cfg(feature = "obs")]
-        if let Some(t) = crate::telemetry::active_kernel_tracer() {
-            t.probes.inc_by(probes);
-            t.intervals.inc_by(level.idx.len() as u64);
         }
         level
     }

@@ -63,20 +63,16 @@ use crate::durability::{
 use crate::fixed_window::FixedWindowHistogram;
 use crate::kernel::{KernelStats, SnapshotCache};
 use crate::merge::merge_histograms;
+use crate::telemetry::{FleetTiming, KernelTracer};
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use streamhist_core::{Checkpoint, CheckpointStore, Histogram, StreamhistError};
 use streamhist_obs::{Counter, EventKind, FlightRecorder, FloatGauge, Gauge, MetricsRegistry};
-
-#[cfg(feature = "obs")]
-use crate::telemetry::{FleetTiming, KernelTracer};
-#[cfg(feature = "obs")]
-use std::time::Instant;
 
 /// Upper bound on one scatter chunk, in records. A scattered slab used to
 /// split into exactly `shards()` chunks of `len / k` records each; for
@@ -424,9 +420,9 @@ struct MetricsInner {
     /// Not exported: `queue_depth` is the operator-facing gauge.
     unapplied: AtomicU64,
     /// Per-fleet latency recorders (queue wait, checkpoint encode,
-    /// restore, scatter), present only when tracing is compiled in *and*
-    /// a registry is attached. Shared by every shard of the fleet.
-    #[cfg(feature = "obs")]
+    /// restore, scatter, gather), present only when the fleet is built
+    /// with both a registry and a kernel tracer. Shared by every shard of
+    /// the fleet.
     timing: Option<Arc<FleetTiming>>,
 }
 
@@ -478,7 +474,6 @@ impl MetricsInner {
                 labels,
             ),
             unapplied: AtomicU64::new(0),
-            #[cfg(feature = "obs")]
             timing: None,
         }
     }
@@ -505,7 +500,6 @@ impl MetricsInner {
     fn envelope(&self, cmd: Cmd) -> Envelope {
         Envelope {
             cmd,
-            #[cfg(feature = "obs")]
             sent_at: self.timing.as_ref().map(|_| Instant::now()),
         }
     }
@@ -521,10 +515,8 @@ fn checkpoint_now(
     metrics: &MetricsInner,
     slot: &Mutex<Vec<u8>>,
 ) -> Vec<u8> {
-    #[cfg(feature = "obs")]
     let encode_start = metrics.timing.as_ref().map(|_| Instant::now());
     let frame = fw.encode_checkpoint();
-    #[cfg(feature = "obs")]
     if let (Some(t), Some(start)) = (&metrics.timing, encode_start) {
         t.checkpoint_encode.record(start.elapsed());
     }
@@ -565,12 +557,11 @@ enum Cmd {
     Ping(Sender<()>),
 }
 
-/// What actually travels on a shard queue: the command, plus (when
-/// queue-wait tracing is live) the instant it was enqueued. With the
-/// `obs` feature off this is exactly a [`Cmd`].
+/// What actually travels on a shard queue: the command, plus (when the
+/// fleet is traced) the instant it was enqueued. An untraced fleet reads
+/// no clock: `sent_at` is `None`.
 struct Envelope {
     cmd: Cmd,
-    #[cfg(feature = "obs")]
     sent_at: Option<Instant>,
 }
 
@@ -650,7 +641,6 @@ pub struct ShardedFixedWindow {
     /// The kernel tracer worker threads self-install (thread-scoped), when
     /// the fleet was built with
     /// [`kernel_tracer`](ShardedFixedWindowBuilder::kernel_tracer).
-    #[cfg(feature = "obs")]
     kernel_tracer: Option<Arc<KernelTracer>>,
     /// The durability pipeline, when the fleet was built with
     /// [`durability`](ShardedFixedWindowBuilder::durability). Declared
@@ -698,7 +688,6 @@ impl ShardedFixedWindow {
             fleet: None,
             durability: None,
             recorder: None,
-            #[cfg(feature = "obs")]
             kernel_tracer: None,
         }
     }
@@ -719,20 +708,17 @@ impl ShardedFixedWindow {
     ) -> (SyncSender<Envelope>, JoinHandle<FixedWindowHistogram>) {
         let interval = self.options.checkpoint_interval;
         let (tx, rx) = sync_channel::<Envelope>(self.options.queue_capacity);
-        #[cfg(feature = "obs")]
         let tracer = self.kernel_tracer.clone();
         let handle = std::thread::spawn(move || {
             // The worker self-installs the fleet's kernel tracer as its
             // thread-scoped tracer: every kernel hook this thread fires
             // reports to the fleet's registry, with no process-global
             // state involved.
-            #[cfg(feature = "obs")]
             crate::telemetry::set_thread_kernel_tracer(tracer);
             let mut since_checkpoint = 0usize;
             while let Ok(env) = rx.recv() {
                 metrics.queue_depth.dec();
                 let data = matches!(env.cmd, Cmd::Push(_) | Cmd::PushBatch(_));
-                #[cfg(feature = "obs")]
                 if let (Some(t), Some(sent_at)) = (&metrics.timing, env.sent_at) {
                     t.queue_wait.record(sent_at.elapsed());
                 }
@@ -964,7 +950,6 @@ impl ShardedFixedWindow {
             return Ok(());
         }
         let k = self.shards.len();
-        #[cfg(feature = "obs")]
         let scatter_start = self.shards[0]
             .metrics
             .timing
@@ -978,7 +963,6 @@ impl ShardedFixedWindow {
                 first_err.get_or_insert(e);
             }
         }
-        #[cfg(feature = "obs")]
         if let Some((t, at)) = scatter_start {
             t.scatter.record(at.elapsed());
         }
@@ -1164,7 +1148,6 @@ impl ShardedFixedWindow {
                 return Ok(hit);
             }
         }
-        #[cfg(feature = "obs")]
         let merge_start = self.shards[0]
             .metrics
             .timing
@@ -1195,7 +1178,6 @@ impl ShardedFixedWindow {
         let built = self.gather(&parts);
         self.merge_metrics
             .record_audit(shard_herror_sum, built.1.herror, self.eps);
-        #[cfg(feature = "obs")]
         if let Some((t, at)) = merge_start {
             t.merge.record(at.elapsed());
         }
@@ -1461,7 +1443,6 @@ impl ShardedFixedWindow {
     fn recover_dead(&self, shard: usize) -> FixedWindowHistogram {
         let metrics = &self.shards[shard].metrics;
         self.flush_wal();
-        #[cfg(feature = "obs")]
         let restore_start = metrics.timing.as_ref().map(|_| Instant::now());
         let recovered = self
             .durability
@@ -1476,7 +1457,6 @@ impl ShardedFixedWindow {
                 let slot = self.shards[shard].checkpoint.lock();
                 FixedWindowHistogram::restore(&slot.unwrap_or_else(PoisonError::into_inner)).ok()
             });
-        #[cfg(feature = "obs")]
         if let (Some(t), Some(start)) = (&metrics.timing, restore_start) {
             t.restore.record(start.elapsed());
         }
@@ -1653,7 +1633,6 @@ pub struct ShardedFixedWindowBuilder {
     fleet: Option<String>,
     durability: Option<DurabilityOptions>,
     recorder: Option<Arc<FlightRecorder>>,
-    #[cfg(feature = "obs")]
     kernel_tracer: Option<Arc<KernelTracer>>,
 }
 
@@ -1662,9 +1641,10 @@ impl ShardedFixedWindowBuilder {
     /// counters become registered `streamhist_shard_*{fleet, shard}`
     /// series backed by the *same* cells the [`ShardMetrics`] view reads,
     /// so `registry.text_exposition()` reconciles with
-    /// [`ShardedFixedWindow::metrics_all`] exactly. With the `obs` cargo
-    /// feature enabled this also registers the fleet's latency summaries
-    /// (queue wait, checkpoint encode, restore, scatter dispatch).
+    /// [`ShardedFixedWindow::metrics_all`] exactly. Together with
+    /// [`kernel_tracer`](Self::kernel_tracer) this also registers the
+    /// fleet's latency summaries (queue wait, checkpoint encode, restore,
+    /// scatter dispatch, gather).
     #[must_use]
     pub fn registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.registry = Some(registry);
@@ -1720,8 +1700,10 @@ impl ShardedFixedWindowBuilder {
     /// as its thread-scoped tracer (see
     /// [`telemetry::set_thread_kernel_tracer`](crate::telemetry::set_thread_kernel_tracer)):
     /// the kernel's phase hooks on those threads report to this tracer's
-    /// registry. Requires the `obs` cargo feature.
-    #[cfg(feature = "obs")]
+    /// registry. With a [`registry`](Self::registry) attached, the fleet
+    /// also records its data-plane latency spans (queue wait, checkpoint
+    /// encode, restore, scatter, gather) there; an untraced fleet reads no
+    /// clocks for them.
     #[must_use]
     pub fn kernel_tracer(mut self, tracer: Arc<KernelTracer>) -> Self {
         self.kernel_tracer = Some(tracer);
@@ -1797,12 +1779,12 @@ impl ShardedFixedWindowBuilder {
                 format!("fleet{}", NEXT_FLEET.fetch_add(1, Ordering::Relaxed))
             })
         });
-        #[cfg(feature = "obs")]
-        let timing = self
-            .registry
-            .as_ref()
-            .zip(fleet_label.as_deref())
-            .map(|(reg, fleet)| Arc::new(FleetTiming::register(reg, fleet)));
+        // The tracer is the one opt-in for latency spans: a registry alone
+        // gets counters and gauges, never a clock read on the data path.
+        let timing = match (&self.registry, &fleet_label, &self.kernel_tracer) {
+            (Some(reg), Some(fleet), Some(_)) => Some(Arc::new(FleetTiming::register(reg, fleet))),
+            _ => None,
+        };
         let merge_metrics = match (&self.registry, &fleet_label) {
             (Some(reg), Some(fleet)) => MergeMetricsInner::registered(reg, fleet),
             _ => MergeMetricsInner::default(),
@@ -1827,20 +1809,15 @@ impl ShardedFixedWindowBuilder {
             global_cache: SnapshotCache::default(),
             merge_metrics,
             recorder,
-            #[cfg(feature = "obs")]
             kernel_tracer: self.kernel_tracer,
             durability,
         };
         for shard in 0..self.shards {
-            #[allow(unused_mut)]
             let mut inner = match (&self.registry, &fleet_label) {
                 (Some(reg), Some(fleet)) => MetricsInner::registered(reg, fleet, shard),
                 _ => MetricsInner::default(),
             };
-            #[cfg(feature = "obs")]
-            {
-                inner.timing = timing.clone();
-            }
+            inner.timing = timing.clone();
             let metrics = Arc::new(inner);
             let fw = this.fresh_summary();
             let slot = Arc::new(Mutex::new(fw.encode_checkpoint()));

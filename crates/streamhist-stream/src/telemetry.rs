@@ -18,22 +18,22 @@
 //!    for online summaries, per-materialization for batch builds), so it
 //!    publishes as **gauges** — republishing the same snapshot twice must
 //!    not double anything, which counter semantics would.
-//! 3. **Phase tracing** (`obs` cargo feature, default off). Span-style
-//!    hooks inside the kernel and the sharded data plane: build/push
-//!    duration, `HERROR` evaluation and binary-search probe counts,
-//!    `CreateList` interval production and search depth, rebase and
-//!    arena-compaction events, queue-wait time, checkpoint encode /
-//!    restore duration, scatter dispatch latency. With the feature
-//!    disabled every hook compiles to nothing (the `#[cfg]`'d code is
-//!    absent, not dynamically skipped — the `bench_obs_overhead` bin
-//!    enforces a ≤2% budget on the disabled path). With the feature
-//!    enabled the hooks are live only after a tracer is installed — a
-//!    thread-scoped `KernelTracer` via `set_thread_kernel_tracer` or
-//!    `ShardedFixedWindowBuilder::kernel_tracer` (worker threads
-//!    self-install) — and un-traced code pays one thread-local read and a
-//!    branch.
+//! 3. **Phase tracing** (run-time opt-in). Span-style hooks inside the
+//!    kernel and the sharded data plane: build/push duration, `HERROR`
+//!    evaluation and binary-search probe counts, `CreateList` interval
+//!    production, rebase and arena-compaction events, queue-wait time,
+//!    checkpoint encode / restore duration, scatter and gather latency.
+//!    The hooks are live only once a [`KernelTracer`] is installed — on a
+//!    thread via [`set_thread_kernel_tracer`], or on a fleet's workers via
+//!    [`ShardedFixedWindowBuilder::kernel_tracer`](crate::ShardedFixedWindowBuilder::kernel_tracer),
+//!    which also arms the fleet's latency spans when a registry is
+//!    attached. Untraced code pays one thread-local read and a branch per
+//!    kernel build or single-value push.
 
-use streamhist_obs::MetricsRegistry;
+use std::cell::RefCell;
+use std::sync::Arc;
+
+use streamhist_obs::{Counter, LatencyRecorder, MetricsRegistry};
 
 use crate::kernel::KernelStats;
 
@@ -114,189 +114,163 @@ pub fn publish_kernel_stats(
         .set(clamp(stats.rebases));
 }
 
-#[cfg(feature = "obs")]
-pub use tracing::{set_thread_kernel_tracer, KernelTracer};
+/// Registered handles for the kernel's phase-tracing hooks.
+#[derive(Debug, Clone)]
+pub struct KernelTracer {
+    /// Batch materializations (`CreateList` rebuild + final minimization).
+    pub builds: Counter,
+    /// Wall-clock of each batch materialization.
+    pub build_seconds: Arc<LatencyRecorder>,
+    /// Online per-point DP steps.
+    pub pushes: Counter,
+    /// Wall-clock of each online DP step.
+    pub push_seconds: Arc<LatencyRecorder>,
+    /// `HERROR[c, k]` evaluations.
+    pub evals: Counter,
+    /// Binary-search probe evaluations inside `CreateList` (the
+    /// `log n` factor of Theorem 1, observed directly).
+    pub probes: Counter,
+    /// Intervals produced by `CreateList` (queue entries).
+    pub intervals: Counter,
+    /// Arena compaction events.
+    pub compactions: Counter,
+    /// Prefix-store rebase events.
+    pub rebases: Counter,
+}
 
-#[cfg(feature = "obs")]
-pub(crate) use tracing::{active_kernel_tracer, FleetTiming};
-
-#[cfg(feature = "obs")]
-mod tracing {
-    //! The `obs`-gated phase tracer the kernel hooks write through.
-    //!
-    //! The kernel is constructed deep inside summaries that have no
-    //! registry parameter, so the hooks resolve their tracer out of band,
-    //! from a **thread-scoped** handle (installed by
-    //! [`set_thread_kernel_tracer`] — fleet worker threads install their
-    //! fleet's tracer automatically when built with
-    //! `ShardedFixedWindowBuilder::kernel_tracer`). Thread scoping means
-    //! two fleets in one process can report to different registries.
-
-    use std::cell::RefCell;
-    use std::sync::Arc;
-
-    use streamhist_obs::{Counter, LatencyRecorder, MetricsRegistry};
-
-    use super::PREFIX;
-
-    /// Registered handles for the kernel's phase-tracing hooks.
-    #[derive(Debug, Clone)]
-    pub struct KernelTracer {
-        /// Batch materializations (`CreateList` rebuild + final minimization).
-        pub builds: Counter,
-        /// Wall-clock of each batch materialization.
-        pub build_seconds: Arc<LatencyRecorder>,
-        /// Online per-point DP steps.
-        pub pushes: Counter,
-        /// Wall-clock of each online DP step.
-        pub push_seconds: Arc<LatencyRecorder>,
-        /// `HERROR[c, k]` evaluations.
-        pub evals: Counter,
-        /// Binary-search probe evaluations inside `CreateList` (the
-        /// `log n` factor of Theorem 1, observed directly).
-        pub probes: Counter,
-        /// Intervals produced by `CreateList` (queue entries).
-        pub intervals: Counter,
-        /// Arena compaction events.
-        pub compactions: Counter,
-        /// Prefix-store rebase events.
-        pub rebases: Counter,
-    }
-
-    impl KernelTracer {
-        /// Registers a tracer's metric families into `registry` and
-        /// returns the handles. Two tracers built against the same
-        /// registry share the same cells (registration is idempotent per
-        /// family), so this is cheap to call per fleet. Install the
-        /// result with
-        /// [`kernel_tracer`](crate::ShardedFixedWindowBuilder::kernel_tracer)
-        /// on a fleet builder (worker threads pick it up automatically) or
-        /// [`set_thread_kernel_tracer`] on threads that push into
-        /// summaries directly.
-        #[must_use]
-        pub fn new(registry: &MetricsRegistry) -> Self {
-            Self::register(registry)
-        }
-
-        fn register(registry: &MetricsRegistry) -> Self {
-            Self {
-                builds: registry.counter(
-                    &format!("{PREFIX}_kernel_builds_total"),
-                    "Batch histogram materializations (CreateList rebuilds).",
-                ),
-                build_seconds: registry.latency(
-                    &format!("{PREFIX}_kernel_build_seconds"),
-                    "Batch materialization latency (GK-backed summary).",
-                ),
-                pushes: registry.counter(
-                    &format!("{PREFIX}_kernel_pushes_total"),
-                    "Online per-point DP steps.",
-                ),
-                push_seconds: registry.latency(
-                    &format!("{PREFIX}_kernel_push_seconds"),
-                    "Online per-point DP step latency (GK-backed summary).",
-                ),
-                evals: registry.counter(
-                    &format!("{PREFIX}_kernel_herror_evals_total"),
-                    "HERROR[c, k] evaluations.",
-                ),
-                probes: registry.counter(
-                    &format!("{PREFIX}_kernel_search_probes_total"),
-                    "Binary-search probe evaluations inside CreateList.",
-                ),
-                intervals: registry.counter(
-                    &format!("{PREFIX}_kernel_intervals_total"),
-                    "Intervals produced by CreateList.",
-                ),
-                compactions: registry.counter(
-                    &format!("{PREFIX}_kernel_compactions_total"),
-                    "Arena compaction events.",
-                ),
-                rebases: registry.counter(
-                    &format!("{PREFIX}_kernel_rebases_total"),
-                    "Prefix-sum anchor rebase events.",
-                ),
-            }
+impl KernelTracer {
+    /// Registers a tracer's metric families into `registry` and
+    /// returns the handles. Two tracers built against the same
+    /// registry share the same cells (registration is idempotent per
+    /// family), so this is cheap to call per fleet. Install the
+    /// result with
+    /// [`kernel_tracer`](crate::ShardedFixedWindowBuilder::kernel_tracer)
+    /// on a fleet builder (worker threads pick it up automatically) or
+    /// [`set_thread_kernel_tracer`] on threads that push into
+    /// summaries directly.
+    #[must_use]
+    pub fn new(registry: &MetricsRegistry) -> Self {
+        Self {
+            builds: registry.counter(
+                &format!("{PREFIX}_kernel_builds_total"),
+                "Batch histogram materializations (CreateList rebuilds).",
+            ),
+            build_seconds: registry.latency(
+                &format!("{PREFIX}_kernel_build_seconds"),
+                "Batch materialization latency (GK-backed summary).",
+            ),
+            pushes: registry.counter(
+                &format!("{PREFIX}_kernel_pushes_total"),
+                "Online per-point DP steps.",
+            ),
+            push_seconds: registry.latency(
+                &format!("{PREFIX}_kernel_push_seconds"),
+                "Online per-point DP step latency (GK-backed summary).",
+            ),
+            evals: registry.counter(
+                &format!("{PREFIX}_kernel_herror_evals_total"),
+                "HERROR[c, k] evaluations.",
+            ),
+            probes: registry.counter(
+                &format!("{PREFIX}_kernel_search_probes_total"),
+                "Binary-search probe evaluations inside CreateList.",
+            ),
+            intervals: registry.counter(
+                &format!("{PREFIX}_kernel_intervals_total"),
+                "Intervals produced by CreateList.",
+            ),
+            compactions: registry.counter(
+                &format!("{PREFIX}_kernel_compactions_total"),
+                "Arena compaction events.",
+            ),
+            rebases: registry.counter(
+                &format!("{PREFIX}_kernel_rebases_total"),
+                "Prefix-sum anchor rebase events.",
+            ),
         }
     }
+}
 
-    /// Per-fleet latency recorders for the sharded data plane, registered
-    /// when a fleet is built with a registry attached (see
-    /// `ShardedFixedWindowBuilder::registry`). Fleet-level rather than
-    /// per-shard to keep series cardinality low; the `fleet` label keeps
-    /// concurrent fleets apart.
-    #[derive(Debug)]
-    pub(crate) struct FleetTiming {
-        /// Time a command spends in a shard's bounded queue before the
-        /// worker dequeues it.
-        pub queue_wait: Arc<LatencyRecorder>,
-        /// Duration of one checkpoint frame encode on a worker thread.
-        pub checkpoint_encode: Arc<LatencyRecorder>,
-        /// Duration of one checkpoint frame decode during respawn/restore.
-        pub restore: Arc<LatencyRecorder>,
-        /// Wall-clock of one `push_batch_scatter` dispatch loop.
-        pub scatter: Arc<LatencyRecorder>,
-        /// Wall-clock of one `snapshot_global` gather: the cross-shard
-        /// snapshot barrier plus every histogram merge stage. Cache hits
-        /// are not recorded (nothing is gathered).
-        pub merge: Arc<LatencyRecorder>,
-    }
+/// Per-fleet latency recorders for the sharded data plane, registered
+/// when a fleet is built with both a registry and a kernel tracer (see
+/// `ShardedFixedWindowBuilder::kernel_tracer`): the tracer is the one
+/// opt-in for every span, so an untraced fleet records none of them.
+/// Fleet-level rather than per-shard to keep series cardinality low; the
+/// `fleet` label keeps concurrent fleets apart.
+#[derive(Debug)]
+pub(crate) struct FleetTiming {
+    /// Time a command spends in a shard's bounded queue before the
+    /// worker dequeues it.
+    pub queue_wait: Arc<LatencyRecorder>,
+    /// Duration of one checkpoint frame encode on a worker thread.
+    pub checkpoint_encode: Arc<LatencyRecorder>,
+    /// Duration of one checkpoint frame decode during respawn/restore.
+    pub restore: Arc<LatencyRecorder>,
+    /// Wall-clock of one `push_batch_scatter` dispatch loop.
+    pub scatter: Arc<LatencyRecorder>,
+    /// Wall-clock of one `snapshot_global` gather: the cross-shard
+    /// snapshot barrier plus every histogram merge stage. Cache hits
+    /// are not recorded (nothing is gathered).
+    pub merge: Arc<LatencyRecorder>,
+}
 
-    impl FleetTiming {
-        pub(crate) fn register(registry: &MetricsRegistry, fleet: &str) -> Self {
-            let labels = &[("fleet", fleet)];
-            Self {
-                queue_wait: registry.latency_with(
-                    &format!("{PREFIX}_shard_queue_wait_seconds"),
-                    "Time commands spend in a shard's bounded queue before the worker dequeues them.",
-                    labels,
-                ),
-                checkpoint_encode: registry.latency_with(
-                    &format!("{PREFIX}_shard_checkpoint_encode_seconds"),
-                    "Checkpoint frame encode duration on the worker thread.",
-                    labels,
-                ),
-                restore: registry.latency_with(
-                    &format!("{PREFIX}_shard_restore_seconds"),
-                    "Checkpoint frame decode duration during respawn/restore.",
-                    labels,
-                ),
-                scatter: registry.latency_with(
-                    &format!("{PREFIX}_shard_scatter_seconds"),
-                    "push_batch_scatter dispatch-loop latency (all chunks enqueued).",
-                    labels,
-                ),
-                merge: registry.latency_with(
-                    &format!("{PREFIX}_fleet_merge_seconds"),
-                    "snapshot_global gather latency (shard snapshots plus merge stages).",
-                    labels,
-                ),
-            }
+impl FleetTiming {
+    pub(crate) fn register(registry: &MetricsRegistry, fleet: &str) -> Self {
+        let labels = &[("fleet", fleet)];
+        Self {
+            queue_wait: registry.latency_with(
+                &format!("{PREFIX}_shard_queue_wait_seconds"),
+                "Time commands spend in a shard's bounded queue before the worker dequeues them.",
+                labels,
+            ),
+            checkpoint_encode: registry.latency_with(
+                &format!("{PREFIX}_shard_checkpoint_encode_seconds"),
+                "Checkpoint frame encode duration on the worker thread.",
+                labels,
+            ),
+            restore: registry.latency_with(
+                &format!("{PREFIX}_shard_restore_seconds"),
+                "Checkpoint frame decode duration during respawn/restore.",
+                labels,
+            ),
+            scatter: registry.latency_with(
+                &format!("{PREFIX}_shard_scatter_seconds"),
+                "push_batch_scatter dispatch-loop latency (all chunks enqueued).",
+                labels,
+            ),
+            merge: registry.latency_with(
+                &format!("{PREFIX}_fleet_merge_seconds"),
+                "snapshot_global gather latency (shard snapshots plus merge stages).",
+                labels,
+            ),
         }
     }
+}
 
-    thread_local! {
-        /// The thread-scoped tracer the kernel hooks report to.
-        static THREAD_TRACER: RefCell<Option<Arc<KernelTracer>>> = const { RefCell::new(None) };
-    }
+thread_local! {
+    /// The thread-scoped tracer the kernel hooks report to. The kernel is
+    /// constructed deep inside summaries that have no registry parameter,
+    /// so the hooks resolve their tracer out of band; thread scoping means
+    /// two fleets in one process can report to different registries.
+    static THREAD_TRACER: RefCell<Option<Arc<KernelTracer>>> = const { RefCell::new(None) };
+}
 
-    /// Installs (or clears, with `None`) the calling thread's kernel
-    /// tracer. Kernel hooks on this thread report to it from now on. Fleet
-    /// worker threads call this themselves when the fleet is built with
-    /// [`kernel_tracer`](crate::ShardedFixedWindowBuilder::kernel_tracer);
-    /// call it directly only on threads that push into summaries without
-    /// going through a fleet.
-    pub fn set_thread_kernel_tracer(tracer: Option<Arc<KernelTracer>>) {
-        THREAD_TRACER.with(|t| *t.borrow_mut() = tracer);
-    }
+/// Installs (or clears, with `None`) the calling thread's kernel
+/// tracer. Kernel hooks on this thread report to it from now on. Fleet
+/// worker threads call this themselves when the fleet is built with
+/// [`kernel_tracer`](crate::ShardedFixedWindowBuilder::kernel_tracer);
+/// call it directly only on threads that push into summaries without
+/// going through a fleet.
+pub fn set_thread_kernel_tracer(tracer: Option<Arc<KernelTracer>>) {
+    THREAD_TRACER.with(|t| *t.borrow_mut() = tracer);
+}
 
-    /// The tracer the kernel hooks should report to right now: the
-    /// calling thread's, if one is installed. This is the hooks' only
-    /// entry point.
-    #[inline(always)]
-    pub(crate) fn active_kernel_tracer() -> Option<Arc<KernelTracer>> {
-        THREAD_TRACER.with(|t| t.borrow().clone())
-    }
+/// The tracer the kernel hooks should report to right now: the
+/// calling thread's, if one is installed. This is the hooks' only
+/// entry point.
+#[inline(always)]
+pub(crate) fn active_kernel_tracer() -> Option<Arc<KernelTracer>> {
+    THREAD_TRACER.with(|t| t.borrow().clone())
 }
 
 #[cfg(test)]
@@ -336,27 +310,134 @@ mod tests {
         assert_eq!(get("streamhist_kernel_rebases"), 2.0);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn thread_tracer_takes_precedence_and_is_clearable() {
-        use std::sync::Arc;
         let registry = MetricsRegistry::new();
         let tracer = Arc::new(KernelTracer::new(&registry));
         // Run on a fresh thread so another test's thread-local state (or
         // this one's) cannot leak across.
         std::thread::spawn(move || {
             set_thread_kernel_tracer(Some(Arc::clone(&tracer)));
-            let active = super::tracing::active_kernel_tracer().expect("thread tracer installed");
+            let active = active_kernel_tracer().expect("thread tracer installed");
             active.pushes.inc();
             assert_eq!(tracer.pushes.get(), 1, "hooks must hit the thread tracer");
             set_thread_kernel_tracer(None);
             assert!(
-                super::tracing::active_kernel_tracer().is_none(),
+                active_kernel_tracer().is_none(),
                 "a cleared thread has no tracer at all"
             );
             assert_eq!(tracer.pushes.get(), 1, "cleared tracer must not be hit");
         })
         .join()
         .expect("tracer thread panicked");
+    }
+
+    /// `rounds` push + `histogram_with_stats` rounds over a fixed stream,
+    /// on a fresh thread with `tracer` installed (or none).
+    fn window_rounds(
+        tracer: Option<Arc<KernelTracer>>,
+        rounds: usize,
+    ) -> Vec<(Arc<streamhist_core::Histogram>, KernelStats)> {
+        std::thread::spawn(move || {
+            set_thread_kernel_tracer(tracer);
+            let mut fw = crate::FixedWindowHistogram::new(64, 4, 0.1);
+            (0..rounds)
+                .map(|i| {
+                    fw.push(((i * 37) % 101) as f64 + (i as f64 * 0.3).sin());
+                    fw.histogram_with_stats()
+                })
+                .collect()
+        })
+        .join()
+        .expect("window thread panicked")
+    }
+
+    #[test]
+    fn kernel_tracer_reconciles_with_kernel_stats_and_changes_nothing() {
+        const N: usize = 300;
+        let registry = MetricsRegistry::new();
+        let tracer = Arc::new(KernelTracer::new(&registry));
+        let traced = window_rounds(Some(Arc::clone(&tracer)), N);
+        // Debug prints shortest round-trip floats, so equal strings mean
+        // bit-identical histograms and stats.
+        assert_eq!(
+            format!("{traced:?}"),
+            format!("{:?}", window_rounds(None, N)),
+            "tracing changed an output"
+        );
+
+        let (mut evals, mut searches, mut queued, mut probes) = (0, 0, 0, 0);
+        for (_, stats) in &traced {
+            evals += stats.herror_evals;
+            searches += stats.binary_searches;
+            queued += stats.queue_sizes.iter().sum::<usize>();
+            // Each interval's start and the final minimization are the
+            // evaluations that are not search probes.
+            probes += stats.herror_evals - stats.binary_searches - 1;
+        }
+        let rebases = traced[N - 1].1.rebases;
+        assert!(rebases > 0, "the stream must cross a rebase");
+        assert_eq!(tracer.builds.get(), N as u64);
+        assert_eq!(tracer.evals.get(), evals as u64);
+        assert_eq!(tracer.intervals.get(), searches as u64);
+        assert_eq!(searches, queued);
+        assert_eq!(tracer.probes.get(), probes as u64);
+        assert_eq!(tracer.rebases.get(), rebases as u64);
+        assert_eq!(
+            tracer.pushes.get(),
+            0,
+            "a window build is not an online push"
+        );
+    }
+
+    /// Samples recorded in latency family `family` under `{fleet = fleet}`.
+    fn latency_samples(registry: &MetricsRegistry, family: &str, fleet: &str) -> u64 {
+        registry
+            .gather()
+            .iter()
+            .filter(|f| f.name == family)
+            .flat_map(|f| &f.series)
+            .filter(|s| s.labels.iter().any(|(k, v)| k == "fleet" && v == fleet))
+            .map(|s| match &s.value {
+                streamhist_obs::SampleValue::Summary(l) => l.count,
+                _ => 0,
+            })
+            .sum()
+    }
+
+    #[test]
+    fn fleet_timing_is_armed_by_the_tracer_not_the_registry() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let tracer = Arc::new(KernelTracer::new(&registry));
+        let values: Vec<f64> = (0..4096).map(|i| (i % 97) as f64).collect();
+        for fleet in ["untraced", "traced"] {
+            let mut builder = crate::ShardedFixedWindow::builder(2, 64, 4, 0.1)
+                .registry(Arc::clone(&registry))
+                .fleet_label(fleet);
+            if fleet == "traced" {
+                builder = builder.kernel_tracer(Arc::clone(&tracer));
+            }
+            let sw = builder.build().expect("valid config");
+            sw.push_batch_scatter(&values).expect("lossless push");
+            sw.snapshot_global().expect("fleet alive");
+            for r in sw.join() {
+                r.expect("worker alive");
+            }
+        }
+        for family in [
+            "streamhist_shard_queue_wait_seconds",
+            "streamhist_shard_scatter_seconds",
+            "streamhist_fleet_merge_seconds",
+        ] {
+            assert_eq!(
+                latency_samples(&registry, family, "untraced"),
+                0,
+                "{family}"
+            );
+            assert!(
+                latency_samples(&registry, family, "traced") >= 1,
+                "{family}"
+            );
+        }
     }
 }

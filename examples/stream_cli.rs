@@ -28,11 +28,13 @@
 //! as gauges at every report. The same endpoint serves the flight
 //! recorder's event timeline on `/events` (`?after=N` pages by sequence)
 //! and a supervisor-aware liveness probe on `/healthz` (200 only when
-//! every shard is Live). Built with `--features obs`, a fleet-scoped
-//! kernel phase tracer is attached too, adding push/build latency
-//! summaries:
+//! every shard is Live). The endpoint is the tracer's only reader, so
+//! `--metrics-addr` also arms the kernel phase tracer, on this thread and
+//! on the fleet's workers: push/build latency summaries, HERROR-eval and
+//! search-probe counters, and the fleet's queue-wait, scatter and gather
+//! spans. Without it nothing is traced:
 //!
-//!   cargo run --release --features obs --example stream_cli -- \
+//!   cargo run --release --example stream_cli -- \
 //!       --demo 100000 --metrics-addr 127.0.0.1:9184
 //!   curl http://127.0.0.1:9184/metrics
 //!
@@ -65,11 +67,9 @@
 use std::io::BufRead;
 use std::sync::{Arc, Mutex};
 use streamhist::data::utilization_trace;
-#[cfg(feature = "obs")]
-use streamhist::obs::KernelTracer;
 use streamhist::obs::{
-    publish_kernel_stats, Counter, ExpositionOptions, ExpositionServer, FlightRecorder,
-    HealthStatus, MetricsRegistry,
+    publish_kernel_stats, set_thread_kernel_tracer, Counter, ExpositionOptions, ExpositionServer,
+    FlightRecorder, HealthStatus, KernelTracer, MetricsRegistry,
 };
 use streamhist::serve::{QuantileMethod, QueryServer, Request, ServeClient, ServeState};
 use streamhist::{
@@ -613,12 +613,15 @@ fn main() {
     let registry = Arc::new(MetricsRegistry::new());
     let recorder = Arc::new(FlightRecorder::default());
     let sup_slot: SupervisorSlot = Arc::new(Mutex::new(None));
-    #[cfg(feature = "obs")]
-    let tracer = Arc::new(KernelTracer::new(&registry));
-    // The CLI's own window pushes on this thread; give its kernel hooks
-    // the tracer thread-locally (fleet workers get it via the builder).
-    #[cfg(feature = "obs")]
-    streamhist::obs::set_thread_kernel_tracer(Some(Arc::clone(&tracer)));
+    // The scrape endpoint is the tracer's only reader: arm it exactly
+    // when there is one. The CLI's own window pushes on this thread; give
+    // its kernel hooks the tracer thread-locally (fleet workers get it
+    // via the builder).
+    let tracer = args
+        .metrics_addr
+        .as_ref()
+        .map(|_| Arc::new(KernelTracer::new(&registry)));
+    set_thread_kernel_tracer(tracer.clone());
 
     let telemetry = match &args.metrics_addr {
         Some(addr) => {
@@ -649,13 +652,14 @@ fn main() {
     // put the query surface on the wire.
     let serving = match &args.serve {
         Some(addr) => {
-            let builder =
+            let mut builder =
                 ShardedFixedWindow::builder(args.shards, args.window, args.buckets, args.eps)
                     .fleet_label("cli")
                     .registry(Arc::clone(&registry))
                     .recorder(Arc::clone(&recorder));
-            #[cfg(feature = "obs")]
-            let builder = builder.kernel_tracer(Arc::clone(&tracer));
+            if let Some(tracer) = &tracer {
+                builder = builder.kernel_tracer(Arc::clone(tracer));
+            }
             let fleet = match builder.build() {
                 Ok(sw) => FleetHandle::new(sw),
                 Err(e) => {

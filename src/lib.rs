@@ -105,9 +105,9 @@ pub use streamhist_wavelet::{DynamicWavelet, SlidingWindowWavelet, WaveletSynops
 /// (`streamhist-obs`), plus this workspace's publication helpers
 /// (`streamhist-stream::telemetry`).
 ///
-/// The registry is always available; the span-style kernel/shard phase
-/// tracing hooks additionally need the `obs` cargo feature (off by
-/// default, compiles to no-ops when disabled).
+/// The registry records counters and gauges; the span-style kernel/shard
+/// phase tracing is armed at run time by installing a [`obs::KernelTracer`]
+/// (on a fleet builder or with [`obs::set_thread_kernel_tracer`]).
 pub mod obs {
     pub use streamhist_obs::{
         global, parse_exposition, Counter, Event, EventKind, ExpositionOptions, ExpositionServer,
@@ -115,9 +115,9 @@ pub mod obs {
         LatencySnapshot, LatencySpan, MetricKind, MetricsRegistry, ParsedSample, RateFamily,
         SampleValue, SeriesSnapshot, SlidingSum, DEFAULT_CAPACITY,
     };
-    pub use streamhist_stream::telemetry::publish_kernel_stats;
-    #[cfg(feature = "obs")]
-    pub use streamhist_stream::telemetry::{set_thread_kernel_tracer, KernelTracer};
+    pub use streamhist_stream::telemetry::{
+        publish_kernel_stats, set_thread_kernel_tracer, KernelTracer,
+    };
 }
 
 /// The query path on the wire: a framed TCP front-end over a live
