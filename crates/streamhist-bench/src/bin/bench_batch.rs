@@ -13,12 +13,17 @@
 //! to the current directory) with points/sec per configuration and the
 //! kernel instrumentation counters at the end of each run.
 //!
-//! Exits nonzero if the batch-1024 single-threaded throughput fails to
-//! beat batch-1, or if the sharded batch-1024 throughput falls behind
-//! sharded batch-64 beyond noise — the CI smoke guards against regressing
-//! the fast path and against re-introducing the scatter inversion (large
-//! slabs used to split into `len/k` monolithic chunks that serialized the
-//! fleet behind the slowest worker; the scatter chunk cap fixed it).
+//! Exits nonzero if an unsharded run's final build does more `HERROR`
+//! evaluations than `MAX_FINAL_BUILD_EVALS` records, or if the sharded
+//! batch-1024 throughput falls behind sharded batch-64 beyond noise. The
+//! first gate is in Theorem 1's own unit and exact: the final window is
+//! the same fixed-seed input on every machine, so its evaluation count is
+//! deterministic, and a kernel change that does more work per build
+//! fails it (reverting the galloping endpoint search raises the count
+//! from 5,350 to 14,741). The second guards against re-introducing the scatter
+//! inversion (large slabs used to split into `len/k` monolithic chunks
+//! that serialized the fleet behind the slowest worker; the scatter chunk
+//! cap fixed it).
 //!
 //! Run: `cargo run --release -p streamhist-bench --bin bench_batch`
 //! (set `STREAMHIST_FULL=1` for the paper-scale stream).
@@ -29,6 +34,16 @@ use std::time::Instant;
 use streamhist_bench::full_scale;
 use streamhist_data::utilization_trace;
 use streamhist_stream::{FixedWindowHistogram, KernelStats, ShardedFixedWindow};
+
+/// Upper bound on the `HERROR` evaluations of an unsharded run's final
+/// build (window 512, `B = 8`, `ε = 0.1`, `utilization_trace` seed 77),
+/// recorded with the galloping `CreateList`. A kernel change that lowers
+/// the count should lower the bound with it.
+const MAX_FINAL_BUILD_EVALS: usize = 5350;
+
+/// [`MAX_FINAL_BUILD_EVALS`] for the `STREAMHIST_FULL=1` preset (window
+/// 1024).
+const MAX_FINAL_BUILD_EVALS_FULL: usize = 8850;
 
 struct Row {
     mode: &'static str,
@@ -194,22 +209,29 @@ fn main() {
     std::fs::write("BENCH_batch_ingest.json", &json).expect("write BENCH_batch_ingest.json");
     println!("\nwrote BENCH_batch_ingest.json");
 
-    let base = rows
-        .iter()
-        .find(|r| r.mode == "fixed_window" && r.batch == 1)
-        .expect("batch-1 row");
-    let fast = rows
-        .iter()
-        .find(|r| r.mode == "fixed_window" && r.batch == 1024)
-        .expect("batch-1024 row");
-    let speedup = fast.pps() / base.pps();
-    println!("batch-1024 vs batch-1 (fixed_window): {speedup:.2}x");
-    assert!(
-        speedup > 1.0,
-        "batch ingestion regressed: batch-1024 ({:.0} pts/s) is not faster than batch-1 ({:.0} pts/s)",
-        fast.pps(),
-        base.pps()
-    );
+    // The work gate: every unsharded run ends on the same window, so its
+    // final build's evaluation count is exact.
+    let max_evals = if full_scale() {
+        MAX_FINAL_BUILD_EVALS_FULL
+    } else {
+        MAX_FINAL_BUILD_EVALS
+    };
+    for r in rows.iter().filter(|r| r.mode == "fixed_window") {
+        let evals = r
+            .stats
+            .as_ref()
+            .expect("unsharded rows keep stats")
+            .herror_evals;
+        println!(
+            "fixed_window batch-{}: final build {evals} HERROR evals (max {max_evals})",
+            r.batch
+        );
+        assert!(
+            evals <= max_evals,
+            "kernel work regressed: the final build of fixed_window batch-{} did {evals} HERROR evaluations, more than the recorded {max_evals}",
+            r.batch
+        );
+    }
 
     // The scatter-inversion gate: with the chunk cap, a 1024-record slab
     // scatters as pipeline-sized chunks, so it must not fall behind the

@@ -4,7 +4,10 @@
 //! the naive `O(n²B)` per-window DP, locating the crossover where the
 //! paper's algorithm starts winning. Beside each CreateList time it
 //! prints the work in the theorem's own units: `HERROR` evaluations and
-//! binary searches per build, and nanoseconds per evaluation.
+//! endpoint searches per build, nanoseconds per evaluation, and the
+//! evaluations per build divided by `(B³/ε²) log₂³ n` — the constant the
+//! theorem's bound hides, which stays flat as the window grows if the
+//! `log³ n` growth holds.
 //!
 //! Run: `cargo run --release -p streamhist-bench --bin theorem1_scaling`
 
@@ -31,6 +34,12 @@ impl Cost {
     fn ns_per_eval(&self) -> f64 {
         self.fw_s * 1e9 / self.evals.max(1.0)
     }
+}
+
+/// Theorem 1's per-build work bound without its constant,
+/// `(B³/ε²) log₂³ n`.
+fn theorem1_units(window: usize, b: usize, eps: f64) -> f64 {
+    (b as f64).powi(3) / (eps * eps) * (window as f64).log2().powi(3)
 }
 
 fn materialization_cost(window: usize, b: usize, eps: f64, stream: &[f64]) -> Cost {
@@ -77,7 +86,7 @@ fn main() {
 
     println!("THM1-SCALING: per-materialization cost, CreateList vs naive O(n^2 B) DP\n");
     println!(
-        "{:>6} {:>4} {:>6} {:>14} {:>14} {:>9} {:>10} {:>12} {:>10} {:>10}",
+        "{:>6} {:>4} {:>6} {:>14} {:>14} {:>9} {:>10} {:>12} {:>10} {:>10} {:>12}",
         "window",
         "B",
         "eps",
@@ -87,7 +96,8 @@ fn main() {
         "queue sum",
         "evals/build",
         "searches",
-        "ns/eval"
+        "ns/eval",
+        "evals/thm1"
     );
 
     // Sweep window length at fixed (B, eps) — cost should grow much slower
@@ -96,8 +106,9 @@ fn main() {
         let mut w = 512usize;
         while w <= max_window {
             let c = materialization_cost(w, b, eps, &stream);
+            let per_unit = c.evals / theorem1_units(w, b, eps);
             println!(
-                "{:>6} {:>4} {:>6} {:>13.3}ms {:>13.3}ms {:>8.1}x {:>10} {:>12.0} {:>10.0} {:>10.1}",
+                "{:>6} {:>4} {:>6} {:>13.3}ms {:>13.3}ms {:>8.1}x {:>10} {:>12.0} {:>10.0} {:>10.1} {:>12.3e}",
                 w,
                 b,
                 eps,
@@ -107,16 +118,18 @@ fn main() {
                 c.queue_total,
                 c.evals,
                 c.searches,
-                c.ns_per_eval()
+                c.ns_per_eval(),
+                per_unit
             );
             println!(
-                "csv,thm1_window,{w},{b},{eps},{},{},{},{},{},{}",
+                "csv,thm1_window,{w},{b},{eps},{},{},{},{},{},{},{}",
                 c.fw_s,
                 c.naive_s,
                 c.queue_total,
                 c.evals,
                 c.searches,
-                c.ns_per_eval()
+                c.ns_per_eval(),
+                per_unit
             );
             w *= 2;
         }
@@ -129,9 +142,10 @@ fn main() {
     for &b in &[2usize, 4, 8, 16] {
         for &eps in &[1.0f64, 0.5, 0.1] {
             let c = materialization_cost(w, b, eps, &stream);
+            let per_unit = c.evals / theorem1_units(w, b, eps);
             println!(
                 "  B={b:<3} eps={eps:<5} CreateList = {:>9.3}ms  (queue total {}, \
-                 {:.0} evals, {:.0} searches, {:.1} ns/eval)",
+                 {:.0} evals, {:.0} searches, {:.1} ns/eval, {per_unit:.3e} evals/thm1)",
                 c.fw_s * 1e3,
                 c.queue_total,
                 c.evals,
@@ -139,7 +153,7 @@ fn main() {
                 c.ns_per_eval()
             );
             println!(
-                "csv,thm1_beps,{w},{b},{eps},{},{},{},{},{}",
+                "csv,thm1_beps,{w},{b},{eps},{},{},{},{},{},{per_unit}",
                 c.fw_s,
                 c.queue_total,
                 c.evals,

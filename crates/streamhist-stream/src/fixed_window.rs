@@ -11,9 +11,10 @@
 //!
 //! * `CreateList` covers `[0, m)` with intervals inside which the
 //!   `(≤k)`-bucket error `HERROR[·, k]` grows by at most `(1+δ)`; the next
-//!   interval endpoint is located by **binary search** over the monotone
-//!   `HERROR[·, k]`, so only `O(q · log n)` positions are ever evaluated
-//!   (`q` = interval count), never the whole buffer.
+//!   interval endpoint is located by a **galloping search** over the
+//!   monotone `HERROR[·, k]` — doubling probes from the interval start,
+//!   then bisection inside the bracket — so only `O(q · log n)` positions
+//!   are ever evaluated (`q` = interval count), never the whole buffer.
 //! * Each `HERROR[c, k]` evaluation minimizes over the level `k−1` interval
 //!   endpoints (plus the single-bucket candidate, plus a clipped candidate
 //!   for the interval straddling `c`).

@@ -22,11 +22,14 @@
 //!   `compactions` counters are part of the checkpoint encoding, and the
 //!   golden checkpoint corpus (`tests/compat`) pins them byte for byte.
 //! * **batch** ([`Kernel::build`]) — the fixed-window `CreateList`
-//!   procedure: queues are rebuilt per materialization by binary search
-//!   over the monotone `HERROR[·, k]`, and the minimization additionally
+//!   procedure: queues are rebuilt per materialization by a galloping
+//!   search (doubling probes from the interval start, then bisection
+//!   inside the bracket) over the monotone `HERROR[·, k]`, bisecting the
+//!   whole remaining window only below a rounding floor where the
+//!   approximate `HERROR` is noise; the minimization additionally
 //!   considers the single-bucket candidate and the clipped candidate of
 //!   the interval straddling the query position. Most evaluations are
-//!   binary-search probes whose chains would be thrown away, so the batch
+//!   search probes whose chains would be thrown away, so the batch
 //!   minimization returns a [`Pick`] — which candidate won — and the chain
 //!   is built once per kept endpoint (and once for the top solution).
 //!   Finished levels are stored structure-of-arrays with a per-index
@@ -46,6 +49,21 @@ use streamhist_core::{BatchOutcome, Histogram, PrefixProvider, StreamhistError};
 /// Compaction is considered once the arena holds at least this many nodes
 /// (below that, garbage is cheaper than collecting it).
 const COMPACT_MIN_NODES: usize = 1024;
+
+/// Relative rounding floor of the batch endpoint search, as a fraction of
+/// the window end's DP-frame cumulative sum of squares `q(m−1)`.
+///
+/// The candidate costs `q_c − e.sqsum − s²/len` cancel terms of that
+/// magnitude, so an approximate `HERROR[·, k]` a few ulps of `q(m−1)`
+/// from zero is rounding noise and need not be monotone — and a galloping
+/// search over a non-monotone predicate can stop at a different endpoint
+/// than a bisection of the whole range. A search whose threshold is at or
+/// below `GALLOP_NOISE_FLOOR · q(m−1)` therefore bisects all of
+/// `[a, m−1]`, exactly as the paper's `CreateList` does; every other
+/// search gallops. Divergences from the full bisection vanish from a
+/// floor of `1e-13` up, so `1e-9` leaves four orders of magnitude of
+/// headroom, at 0.05% of the evaluations galloping saves (DESIGN §3.3).
+const GALLOP_NOISE_FLOOR: f64 = 1e-9;
 
 /// An interval endpoint retained in a queue: the point's index, the DP
 /// cumulative sums through it (paper: "store the values SUM[j] and
@@ -81,8 +99,9 @@ pub struct KernelStats {
     pub queue_sizes: Vec<usize>,
     /// Number of `HERROR[c, k]` evaluations performed.
     pub herror_evals: usize,
-    /// Number of binary searches performed (one per interval created;
-    /// always 0 in the online mode, which never searches).
+    /// Number of endpoint searches performed — galloping then bisection,
+    /// one per interval created; always 0 in the online mode, which never
+    /// searches.
     pub binary_searches: usize,
     /// The current (approximate) `HERROR[n, B]` of the summary.
     pub herror: f64,
@@ -683,6 +702,19 @@ impl Kernel {
     /// then the level-`B` minimization at the window end produces the
     /// histogram. Shared by the count-based and time-based window types.
     pub fn build<P: PrefixProvider>(p: &P, b: usize, delta: f64) -> (Histogram, KernelStats) {
+        Self::build_with_floor(p, b, delta, GALLOP_NOISE_FLOOR)
+    }
+
+    /// [`build`](Self::build) with the galloping search's relative
+    /// rounding floor as a parameter. Only the differential test passes
+    /// anything but [`GALLOP_NOISE_FLOOR`]: a floor of `+∞` bisects every
+    /// search over the whole `[a, m−1]`.
+    fn build_with_floor<P: PrefixProvider>(
+        p: &P,
+        b: usize,
+        delta: f64,
+        floor: f64,
+    ) -> (Histogram, KernelStats) {
         let trace =
             crate::telemetry::active_kernel_tracer().map(|t| (t, std::time::Instant::now()));
 
@@ -690,6 +722,7 @@ impl Kernel {
         let mut build = BatchBuild {
             p,
             delta,
+            noise_floor: m.checked_sub(1).map_or(0.0, |end| floor * p.dp_sums(end).1),
             arena: CutArena::new(),
             levels: Vec::with_capacity(b.saturating_sub(1)),
             evals: 0,
@@ -772,22 +805,34 @@ struct BatchLevel {
 struct BatchBuild<'p, P> {
     p: &'p P,
     delta: f64,
+    /// Searches whose threshold is at or below this absolute SSE bisect
+    /// the whole `[a, m−1]` instead of galloping (see
+    /// [`GALLOP_NOISE_FLOOR`]); `NaN` (an infinite floor times a zero
+    /// window) also bisects.
+    noise_floor: f64,
     arena: CutArena,
     /// `levels[k-1]` is the finished queue of level `k`.
     levels: Vec<BatchLevel>,
     evals: usize,
     searches: usize,
-    /// Binary-search probes, kept for the tracer (`evals` also counts
-    /// each interval's start and the final minimization).
+    /// Endpoint-search probes (galloping and bisection), kept for the
+    /// tracer (`evals` also counts each interval's start and the final
+    /// minimization).
     probes: u64,
 }
 
 impl<P: PrefixProvider> BatchBuild<'_, P> {
     /// `CreateList[0, m−1, k]` (paper Fig. 5), iteratively: cover `[0, m)`
     /// with maximal intervals inside which `HERROR[·, k]` stays within a
-    /// `(1+δ)` factor of its value at the interval start, locating each
-    /// endpoint by binary search over the monotone `HERROR[·, k]`. Probes
-    /// only minimize; the chain is built once, for the endpoint kept.
+    /// `(1+δ)` factor of its value at the interval start. Each endpoint is
+    /// located by a galloping search from the interval start — probes at
+    /// `a+1, a+3, a+7, …` until one exceeds the threshold, then bisection
+    /// inside that bracket — which finds the same endpoint as bisecting
+    /// all of `[a, m−1]` because `HERROR[·, k]` is monotone, in
+    /// `O(log len)` probes instead of `O(log m)`. Below the rounding floor
+    /// the approximate `HERROR` is not monotone, so those searches bisect
+    /// the whole range. Probes only minimize; the chain is built once,
+    /// for the endpoint kept.
     fn create_list(&mut self, k: usize, m: usize) -> BatchLevel {
         let p = self.p;
         let lower = k.checked_sub(2).map(|l| &self.levels[l]);
@@ -797,13 +842,32 @@ impl<P: PrefixProvider> BatchBuild<'_, P> {
             self.evals += 1;
             let (t, pick_a) = batch_min(p, lower, a);
             let threshold = (1.0 + self.delta) * t;
-            // Binary search for the maximal c in [a, m-1] with
-            // HERROR[c, k] <= threshold. HERROR[a, k] = t qualifies, so the
-            // loop invariant "lo qualifies" holds from the start.
+            // Search for the maximal c in [a, m-1] with HERROR[c, k] <=
+            // threshold, keeping the invariant "lo qualifies and the
+            // answer is at most hi". HERROR[a, k] = t qualifies, so it
+            // holds from the start.
             self.searches += 1;
             let mut lo = a;
             let mut hi = m - 1;
             let mut lo_val = (t, pick_a);
+            if threshold > self.noise_floor {
+                // Gallop: the first failing probe bounds the answer.
+                let mut span = 1;
+                while lo < hi {
+                    self.probes += 1;
+                    let probe = (a + span).min(hi);
+                    self.evals += 1;
+                    let hv = batch_min(p, lower, probe);
+                    if hv.0 <= threshold {
+                        lo = probe;
+                        lo_val = hv;
+                        span = 2 * span + 1;
+                    } else {
+                        hi = probe - 1;
+                        break;
+                    }
+                }
+            }
             while lo < hi {
                 self.probes += 1;
                 let mid = lo + (hi - lo).div_ceil(2);
@@ -927,6 +991,9 @@ fn realize<P: PrefixProvider>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use streamhist_core::SlidingPrefixSums;
+    use streamhist_data::{collect, utilization_trace, Ar1, BurstyOnOff, Diurnal, LevelShift};
 
     fn online_over(data: &[f64], b: usize, delta: f64) -> (Kernel, StreamTotals) {
         let mut kernel = Kernel::new_online(b, delta);
@@ -1099,5 +1166,143 @@ mod tests {
         // The generational policy keeps occupancy within a constant factor
         // of the live set, far below the total allocation count.
         assert!(stats.arena_nodes < stats.arena_peak.max(2 * COMPACT_MIN_NODES) * 4);
+    }
+
+    /// The differential shapes `(window, B, ε)`: both golden window sizes,
+    /// the benchmark shape, and the deep `B = 50, ε = 0.01` queues.
+    const DIFF_SHAPES: [(usize, usize, f64); 4] = [
+        (128, 8, 0.1),
+        (128, 50, 0.01),
+        (512, 8, 0.1),
+        (512, 16, 0.05),
+    ];
+
+    /// Stream length of a differential sweep: two windows of slides (every
+    /// 7th built twice) in optimized test builds, 16 compared slides in
+    /// unoptimized ones, where a full-range bisection build of the deep
+    /// shapes costs tens of milliseconds.
+    fn sweep_len(window: usize) -> usize {
+        if cfg!(debug_assertions) {
+            window + 7 * 16
+        } else {
+            3 * window
+        }
+    }
+
+    /// Slides a fixed window of `window` points over `data` and, at every
+    /// 7th slide, builds it twice: with the shipped floor, and with an
+    /// infinite one, under which every search bisects all of `[a, m−1]`
+    /// as the paper's `CreateList` does. Asserts the two builds are
+    /// bit-identical in ends, heights, `HERROR`, queue sizes and search
+    /// counts, and returns their total evaluations `(gallop, bisect)`.
+    fn gallop_matches_full_bisection(
+        name: &str,
+        data: &[f64],
+        (window, b, eps): (usize, usize, f64),
+    ) -> (usize, usize) {
+        let delta = eps / (2.0 * b as f64);
+        let mut p = SlidingPrefixSums::new(window);
+        let (mut gallop, mut bisect) = (0, 0);
+        for (i, &v) in data.iter().enumerate() {
+            p.push(v);
+            if i < window || (i - window) % 7 != 0 {
+                continue;
+            }
+            let ctx = format!("{name} at {window}/{b}/{eps}, push {i}");
+            let (hg, sg) = Kernel::build(&p, b, delta);
+            let (hb, sb) = Kernel::build_with_floor(&p, b, delta, f64::INFINITY);
+            let bits = |h: &Histogram| -> Vec<(usize, u64)> {
+                h.buckets()
+                    .iter()
+                    .map(|bk| (bk.end, bk.height.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&hg), bits(&hb), "{ctx}: ends or heights");
+            assert_eq!(sg.herror.to_bits(), sb.herror.to_bits(), "{ctx}: herror");
+            assert_eq!(sg.queue_sizes, sb.queue_sizes, "{ctx}: queue sizes");
+            assert_eq!(sg.binary_searches, sb.binary_searches, "{ctx}: searches");
+            gallop += sg.herror_evals;
+            bisect += sb.herror_evals;
+        }
+        (gallop, bisect)
+    }
+
+    /// The golden streams.
+    #[test]
+    fn galloping_matches_full_bisection_on_golden_streams() {
+        for shape in DIFF_SHAPES {
+            let len = sweep_len(shape.0);
+            let streams = [
+                ("utilization_trace_seed7", utilization_trace(len, 7)),
+                ("ar1_seed42", collect(Ar1::new(42, 0.9, 100.0, 25.0), len)),
+                (
+                    "bursty_seed9",
+                    collect(BurstyOnOff::new(9, 0.01, 0.08, 500.0, 1.4), len),
+                ),
+                (
+                    "level_shift_seed3",
+                    collect(LevelShift::new(3, 0.01, 200.0), len),
+                ),
+            ];
+            for (name, data) in &streams {
+                gallop_matches_full_bisection(name, data, shape);
+            }
+        }
+    }
+
+    /// The benchmark's stationary input: a diurnal baseline plus an AR(1)
+    /// fluctuation, integerized. Galloping must also do strictly less work
+    /// there, which is the point of it.
+    #[test]
+    fn galloping_matches_full_bisection_on_diurnal_ar1_with_fewer_evals() {
+        for shape in DIFF_SHAPES {
+            let len = sweep_len(shape.0);
+            let diurnal = collect(Diurnal::new(401, 2000.0, 800.0, 4096, 50.0), len);
+            let ar1 = collect(Ar1::new(402, 0.95, 0.0, 120.0), len);
+            let data: Vec<f64> = diurnal
+                .iter()
+                .zip(&ar1)
+                .map(|(d, a)| (d + a).round().max(0.0))
+                .collect();
+            let (gallop, bisect) = gallop_matches_full_bisection("diurnal_ar1", &data, shape);
+            assert!(
+                gallop < bisect,
+                "{shape:?}: galloping did {gallop} evals, full bisection {bisect}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random windows, including the ones where the approximate
+        /// `HERROR[·, k]` is rounding noise: streams of at most `B`
+        /// constant runs (so every window is represented exactly and
+        /// `OPT_B ≈ 0`) under relative noise down to a few ulps.
+        #[test]
+        fn galloping_matches_full_bisection_on_random_windows(
+            shape in prop::sample::select(DIFF_SHAPES.to_vec()),
+            runs in prop::collection::vec((1usize..200, 0i64..2000), 1..20),
+            slides in 0usize..64,
+            noise in prop::sample::select(vec![0.0f64, 1e-15, 1e-13, 1e-9, 1e-3, 1.0, 50.0]),
+            jitter in prop::collection::vec(-1.0f64..1.0, 64),
+        ) {
+            let (window, b, _) = shape;
+            // Half the cases keep at most B runs: piecewise-constant windows.
+            let runs = if runs.len() % 2 == 0 { &runs[..runs.len().min(b)] } else { &runs[..] };
+            let mut data = Vec::new();
+            for &(len, level) in runs {
+                data.resize(data.len() + len, level as f64);
+            }
+            let len = window + slides;
+            while data.len() < len {
+                data.extend_from_within(..data.len().min(len - data.len()));
+            }
+            data.truncate(len);
+            for (i, v) in data.iter_mut().enumerate() {
+                *v += noise * jitter[i % jitter.len()] * v.abs().max(1.0);
+            }
+            gallop_matches_full_bisection("random", &data, shape);
+        }
     }
 }

@@ -15,7 +15,7 @@
 //!   §4.5, Figure 5), the paper's headline algorithm. Pushes are amortized
 //!   `O(1)` (circular buffer + sliding prefix sums); materializing the
 //!   histogram runs the `CreateList` procedure, which rebuilds the interval
-//!   queues via binary search over the monotone `HERROR[·, k]` in
+//!   queues via galloping search over the monotone `HERROR[·, k]` in
 //!   `O((B³/ε²) log³ n)` (paper Theorem 1).
 //!
 //! Both algorithms (and the time-based [`TimeWindowHistogram`]) drive one

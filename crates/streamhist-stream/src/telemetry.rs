@@ -73,7 +73,7 @@ pub fn publish_kernel_stats(
     registry
         .gauge_with(
             &format!("{PREFIX}_kernel_binary_searches"),
-            "CreateList binary searches in the reported stats window (one per interval created).",
+            "CreateList endpoint searches (gallop, then bisect) in the reported stats window (one per interval created).",
             labels,
         )
         .set(clamp(stats.binary_searches));
