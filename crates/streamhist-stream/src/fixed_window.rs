@@ -15,6 +15,14 @@
 //!   monotone `HERROR[·, k]` — doubling probes from the interval start,
 //!   then bisection inside the bracket — so only `O(q · log n)` positions
 //!   are ever evaluated (`q` = interval count), never the whole buffer.
+//!   Builds are warm: an interval's start value is the previous search's
+//!   last failing probe, and each search first probes the endpoint the
+//!   previous materialization predicts, with positions made absolute by
+//!   the window origin `total_pushed − len`. At one push per
+//!   materialization most predictions are exact, and a search costs one
+//!   or two probes. The prediction lives in the snapshot cache and is never
+//!   checkpointed; it changes how much work a build does, never what it
+//!   returns.
 //! * Each `HERROR[c, k]` evaluation minimizes over the level `k−1` interval
 //!   endpoints (plus the single-bucket candidate, plus a clipped candidate
 //!   for the interval straddling `c`).
@@ -24,7 +32,7 @@
 //! Both steps live in the shared `kernel` module (batch mode), driven
 //! here over a [`SlidingPrefixSums`] provider.
 
-use crate::kernel::{Kernel, KernelStats, SnapshotCache};
+use crate::kernel::{KernelStats, SnapshotCache};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use streamhist_core::checkpoint::{tag, Checkpoint, FrameReader, FrameWriter};
@@ -413,9 +421,10 @@ impl FixedWindowHistogram {
     /// diagnostics of the cached build when served from the cache).
     #[must_use]
     pub fn histogram_with_stats(&self) -> (Arc<Histogram>, KernelStats) {
-        self.cache.get_or_build(self.generation, || {
-            Kernel::build(&self.prefix, self.b, self.delta)
-        })
+        // The window's first point is stream position total_pushed − len.
+        let origin = self.total_pushed - self.raw.len() as u64;
+        self.cache
+            .get_or_build_window(self.generation, &self.prefix, origin, self.b, self.delta)
     }
 }
 

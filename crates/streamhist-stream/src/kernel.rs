@@ -28,7 +28,12 @@
 //!   whole remaining window only below a rounding floor where the
 //!   approximate `HERROR` is noise; the minimization additionally
 //!   considers the single-bucket candidate and the clipped candidate of
-//!   the interval straddling the query position. Most evaluations are
+//!   the interval straddling the query position. A build is warm in two
+//!   ways: each search's last failing probe is the next interval's start
+//!   value, so it is not evaluated again, and each search first probes
+//!   the endpoint the previous build of the same summary predicts (an
+//!   [`EndpointHint`] kept beside that build in the [`SnapshotCache`]).
+//!   Neither changes which endpoint a search finds. Most evaluations are
 //!   search probes whose chains would be thrown away, so the batch
 //!   minimization returns a [`Pick`] — which candidate won — and the chain
 //!   is built once per kept endpoint (and once for the top solution).
@@ -90,6 +95,18 @@ pub(crate) struct Interval {
 /// Diagnostics for one kernel — cumulative since creation for the online
 /// mode, per-materialization for the batch mode.
 ///
+/// In the batch mode every field except `herror_evals` is a function of
+/// the window alone (its values and the prefix store's rebase history):
+/// two builds of the same window agree on them bit for bit, whatever was
+/// built before. `herror_evals` is the work a build did given the build
+/// before it, so a summary that was built one push ago reports fewer
+/// evaluations than a restored or freshly merged one over the same
+/// window. A seed adds at most one probe per search and can only narrow
+/// the bracket the search gallops and bisects, so checks that compare builds
+/// across histories hold the seeded side to `herror_evals ≤
+/// cold.herror_evals + cold.binary_searches` and every other field to
+/// equality.
+///
 /// The `Default` value is the all-zero record, which is the identity for
 /// [`absorb`](Self::absorb)-based fleet aggregation.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -97,11 +114,17 @@ pub struct KernelStats {
     /// Interval count per level queue (`B−1` entries); the paper bounds
     /// each by `O(δ⁻¹ log n)` with "hidden constant about 3".
     pub queue_sizes: Vec<usize>,
-    /// Number of `HERROR[c, k]` evaluations performed.
+    /// Number of `HERROR[c, k]` evaluations performed. A batch build
+    /// evaluates one start per level, the search probes and the final
+    /// minimization: every other interval start is the previous search's
+    /// last failing probe, carried over. The probe count depends on the
+    /// endpoints the previous build of the same summary predicted, so
+    /// this is the one field that depends on build history.
     pub herror_evals: usize,
-    /// Number of endpoint searches performed — galloping then bisection,
-    /// one per interval created; always 0 in the online mode, which never
-    /// searches.
+    /// Number of endpoint searches performed — one per interval created,
+    /// each a galloping search (seeded by the previous build's endpoint
+    /// when one applies) then bisection; always 0 in the online mode,
+    /// which never searches.
     pub binary_searches: usize,
     /// The current (approximate) `HERROR[n, B]` of the summary.
     pub herror: f64,
@@ -153,6 +176,9 @@ struct CachedBuild {
     generation: u64,
     hist: Arc<Histogram>,
     stats: KernelStats,
+    /// The build's interval endpoints, which seed the next build's
+    /// searches (empty for builds that are not batch kernel builds).
+    ends: EndpointHint,
 }
 
 /// Generation-counted snapshot cache: `histogram()` between mutations
@@ -166,6 +192,12 @@ struct CachedBuild {
 /// `RefCell`) so summaries stay `Send`/`Sync`-compatible; the lock is
 /// uncontended in practice because queries and mutations already require
 /// `&self`/`&mut self` on the owning summary.
+///
+/// The slot also keeps the cached build's interval endpoints, which
+/// [`get_or_build_window`](Self::get_or_build_window) hands to the next
+/// build as its search hint. The hint lives only here: it is never
+/// checkpointed, and [`clear`](Self::clear) (reset), restore and merge
+/// start without one.
 #[derive(Debug, Default)]
 pub(crate) struct SnapshotCache {
     slot: Mutex<Option<CachedBuild>>,
@@ -192,18 +224,46 @@ impl SnapshotCache {
         generation: u64,
         build: impl FnOnce() -> (Histogram, KernelStats),
     ) -> (Arc<Histogram>, KernelStats) {
+        self.get_or_build_seeded(generation, |_| {
+            let (h, stats) = build();
+            (h, stats, EndpointHint::default())
+        })
+    }
+
+    /// The window summaries' build: returns the cached build for
+    /// `generation`, or runs [`Kernel::build`] over `p` — whose first
+    /// point is absolute stream position `origin` — seeded with the
+    /// cached build's endpoints, and caches the result with its own.
+    pub fn get_or_build_window<P: PrefixProvider>(
+        &self,
+        generation: u64,
+        p: &P,
+        origin: u64,
+        b: usize,
+        delta: f64,
+    ) -> (Arc<Histogram>, KernelStats) {
+        self.get_or_build_seeded(generation, |prev| Kernel::build(p, b, delta, origin, prev))
+    }
+
+    fn get_or_build_seeded(
+        &self,
+        generation: u64,
+        build: impl FnOnce(&EndpointHint) -> (Histogram, KernelStats, EndpointHint),
+    ) -> (Arc<Histogram>, KernelStats) {
         let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(c) = slot.as_ref() {
             if c.generation == generation {
                 return (Arc::clone(&c.hist), c.stats.clone());
             }
         }
-        let (h, stats) = build();
+        let prev = slot.take().map(|c| c.ends).unwrap_or_default();
+        let (h, stats, ends) = build(&prev);
         let hist = Arc::new(h);
         *slot = Some(CachedBuild {
             generation,
             hist: Arc::clone(&hist),
             stats: stats.clone(),
+            ends,
         });
         (hist, stats)
     }
@@ -219,11 +279,28 @@ impl SnapshotCache {
             .map(|c| (Arc::clone(&c.hist), c.stats.clone()))
     }
 
-    /// Drops any cached build (used by `reset`, whose generation bump
-    /// already suffices — clearing additionally releases the memory).
+    /// Drops any cached build and its endpoints (used by `reset`, whose
+    /// generation bump already suffices — clearing additionally releases
+    /// the memory and keeps the old stream's endpoints from seeding the
+    /// new one's searches).
     pub fn clear(&self) {
         *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
     }
+}
+
+/// A finished batch build's interval endpoints, kept to seed the next
+/// build's endpoint searches.
+///
+/// Positions are window-relative together with the window's `origin`, the
+/// absolute stream position of its first point, so a later build over a
+/// slid window can map them into its own frame: endpoint `e` predicts
+/// position `e + origin − later origin`. The default value predicts
+/// nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EndpointHint {
+    origin: u64,
+    /// `levels[k-1]`: level `k`'s endpoints, ascending.
+    levels: Vec<Vec<usize>>,
 }
 
 /// Whole-stream running totals: the [`PrefixProvider`] of the online mode.
@@ -701,28 +778,53 @@ impl Kernel {
     /// provider — interval lists bottom-up for each level `k = 1 .. B−1`,
     /// then the level-`B` minimization at the window end produces the
     /// histogram. Shared by the count-based and time-based window types.
-    pub fn build<P: PrefixProvider>(p: &P, b: usize, delta: f64) -> (Histogram, KernelStats) {
-        Self::build_with_floor(p, b, delta, GALLOP_NOISE_FLOOR)
+    ///
+    /// `origin` is the absolute stream position of `p`'s first point and
+    /// `hint` the previous build's endpoints (empty for a cold build);
+    /// the hint only orders the search probes, so the histogram and every
+    /// stat but `herror_evals` are the same whatever it holds. Returns
+    /// this build's endpoints as the next build's hint.
+    pub fn build<P: PrefixProvider>(
+        p: &P,
+        b: usize,
+        delta: f64,
+        origin: u64,
+        hint: &EndpointHint,
+    ) -> (Histogram, KernelStats, EndpointHint) {
+        Self::build_with_floor(p, b, delta, origin, hint, GALLOP_NOISE_FLOOR)
     }
 
     /// [`build`](Self::build) with the galloping search's relative
-    /// rounding floor as a parameter. Only the differential test passes
+    /// rounding floor as a parameter. Only the differential tests pass
     /// anything but [`GALLOP_NOISE_FLOOR`]: a floor of `+∞` bisects every
-    /// search over the whole `[a, m−1]`.
+    /// search over the whole `[a, m−1]` and ignores the hint.
     fn build_with_floor<P: PrefixProvider>(
         p: &P,
         b: usize,
         delta: f64,
+        origin: u64,
+        hint: &EndpointHint,
         floor: f64,
-    ) -> (Histogram, KernelStats) {
+    ) -> (Histogram, KernelStats, EndpointHint) {
         let trace =
             crate::telemetry::active_kernel_tracer().map(|t| (t, std::time::Instant::now()));
 
         let m = p.len();
+        // A hint from a later origin than this window's cannot come from
+        // an earlier build of the same stream; it predicts nothing.
+        let (hint, shift) = match origin
+            .checked_sub(hint.origin)
+            .and_then(|d| usize::try_from(d).ok())
+        {
+            Some(shift) => (hint.levels.as_slice(), shift),
+            None => (&[][..], 0),
+        };
         let mut build = BatchBuild {
             p,
             delta,
             noise_floor: m.checked_sub(1).map_or(0.0, |end| floor * p.dp_sums(end).1),
+            hint,
+            shift,
             arena: CutArena::new(),
             levels: Vec::with_capacity(b.saturating_sub(1)),
             evals: 0,
@@ -765,7 +867,11 @@ impl Kernel {
             compactions: build.arena.compactions(),
             rebases: p.rebases(),
         };
-        (hist, stats)
+        let ends = EndpointHint {
+            origin,
+            levels: build.levels.into_iter().map(|l| l.idx).collect(),
+        };
+        (hist, stats, ends)
     }
 }
 
@@ -800,8 +906,8 @@ struct BatchLevel {
     first: Vec<usize>,
 }
 
-/// The state of one batch build: the provider, the finished levels, the
-/// chain arena and the work counters.
+/// The state of one batch build: the provider, the previous build's
+/// endpoints, the finished levels, the chain arena and the work counters.
 struct BatchBuild<'p, P> {
     p: &'p P,
     delta: f64,
@@ -810,84 +916,110 @@ struct BatchBuild<'p, P> {
     /// [`GALLOP_NOISE_FLOOR`]); `NaN` (an infinite floor times a zero
     /// window) also bisects.
     noise_floor: f64,
+    /// `hint[k-1]`: the previous build's level-`k` endpoints, ascending,
+    /// in that build's window frame; endpoint `e` predicts position
+    /// `e − shift` of this window.
+    hint: &'p [Vec<usize>],
+    shift: usize,
     arena: CutArena,
     /// `levels[k-1]` is the finished queue of level `k`.
     levels: Vec<BatchLevel>,
     evals: usize,
     searches: usize,
-    /// Endpoint-search probes (galloping and bisection), kept for the
-    /// tracer (`evals` also counts each interval's start and the final
-    /// minimization).
+    /// Endpoint-search probes (the predicted endpoint, galloping and
+    /// bisection), kept for the tracer: `evals` also counts each level's
+    /// first interval start and the final minimization.
     probes: u64,
+}
+
+/// An endpoint search's bracket: `lo` qualifies (its value and pick in
+/// `lo_val`), the endpoint is at most `hi`, and `fail` holds the value and
+/// pick at `hi + 1` once a probe has failed.
+struct Bracket {
+    lo: usize,
+    hi: usize,
+    lo_val: (f64, Pick),
+    fail: Option<(f64, Pick)>,
 }
 
 impl<P: PrefixProvider> BatchBuild<'_, P> {
     /// `CreateList[0, m−1, k]` (paper Fig. 5), iteratively: cover `[0, m)`
     /// with maximal intervals inside which `HERROR[·, k]` stays within a
     /// `(1+δ)` factor of its value at the interval start. Each endpoint is
-    /// located by a galloping search from the interval start — probes at
-    /// `a+1, a+3, a+7, …` until one exceeds the threshold, then bisection
-    /// inside that bracket — which finds the same endpoint as bisecting
-    /// all of `[a, m−1]` because `HERROR[·, k]` is monotone, in
-    /// `O(log len)` probes instead of `O(log m)`. Below the rounding floor
-    /// the approximate `HERROR` is not monotone, so those searches bisect
-    /// the whole range. Probes only minimize; the chain is built once,
-    /// for the endpoint kept.
+    /// located by a galloping search — probes at `s+1, s+3, s+7, …` from
+    /// a base `s` until one exceeds the threshold, then bisection inside
+    /// that bracket — which finds the same endpoint as bisecting all of
+    /// `[a, m−1]` because `HERROR[·, k]` is monotone, in `O(log len)`
+    /// probes instead of `O(log m)`. The base is the interval start `a`,
+    /// unless the previous build predicts an endpoint `g` past `a`: the
+    /// search probes `g` first and gallops from it if it qualifies, or
+    /// from `a` below it if not. Below the rounding floor the approximate
+    /// `HERROR` is not monotone, so those searches ignore the prediction
+    /// and bisect the whole range.
+    ///
+    /// A search that stops short of `m−1` has failed at its endpoint plus
+    /// one (each failing probe lowers `hi` to below itself, and the search
+    /// ends at `lo = hi`), and that is the next interval's start: its
+    /// value is carried over instead of evaluated again. Probes only
+    /// minimize; the chain is built once, for the endpoint kept.
     fn create_list(&mut self, k: usize, m: usize) -> BatchLevel {
         let p = self.p;
-        let lower = k.checked_sub(2).map(|l| &self.levels[l]);
+        let mut hint = self.hint.get(k - 1).map_or(&[][..], Vec::as_slice);
         let mut level = BatchLevel::default();
         let mut a = 0usize;
+        let mut carried = None;
         while a < m {
-            self.evals += 1;
-            let (t, pick_a) = batch_min(p, lower, a);
+            let (t, pick_a) = carried.take().unwrap_or_else(|| {
+                self.evals += 1;
+                batch_min(p, self.lower(k), a)
+            });
             let threshold = (1.0 + self.delta) * t;
             // Search for the maximal c in [a, m-1] with HERROR[c, k] <=
-            // threshold, keeping the invariant "lo qualifies and the
-            // answer is at most hi". HERROR[a, k] = t qualifies, so it
-            // holds from the start.
+            // threshold. HERROR[a, k] = t qualifies, so the bracket
+            // invariant holds from the start.
             self.searches += 1;
-            let mut lo = a;
-            let mut hi = m - 1;
-            let mut lo_val = (t, pick_a);
+            let mut s = Bracket {
+                lo: a,
+                hi: m - 1,
+                lo_val: (t, pick_a),
+                fail: None,
+            };
             if threshold > self.noise_floor {
-                // Gallop: the first failing probe bounds the answer.
-                let mut span = 1;
-                while lo < hi {
-                    self.probes += 1;
-                    let probe = (a + span).min(hi);
-                    self.evals += 1;
-                    let hv = batch_min(p, lower, probe);
-                    if hv.0 <= threshold {
-                        lo = probe;
-                        lo_val = hv;
-                        span = 2 * span + 1;
-                    } else {
-                        hi = probe - 1;
-                        break;
+                // The previous build's first endpoint at or past a.
+                hint = &hint[hint.partition_point(|&e| e < a.saturating_add(self.shift))..];
+                if let Some(g) = hint.first().map(|&e| e - self.shift) {
+                    if a < g && g < m {
+                        self.probe(k, &mut s, g, threshold);
                     }
                 }
-            }
-            while lo < hi {
-                self.probes += 1;
-                let mid = lo + (hi - lo).div_ceil(2);
-                self.evals += 1;
-                let hv = batch_min(p, lower, mid);
-                if hv.0 <= threshold {
-                    lo = mid;
-                    lo_val = hv;
-                } else {
-                    hi = mid - 1;
+                // Gallop from lo: the first failing probe bounds the
+                // answer.
+                let base = s.lo;
+                let mut span = 1;
+                while s.lo < s.hi {
+                    let c = (base + span).min(s.hi);
+                    if !self.probe(k, &mut s, c, threshold) {
+                        break;
+                    }
+                    span = 2 * span + 1;
                 }
             }
-            let (s, q) = p.dp_sums(lo);
+            while s.lo < s.hi {
+                let mid = s.lo + (s.hi - s.lo).div_ceil(2);
+                self.probe(k, &mut s, mid, threshold);
+            }
+            let lo = s.lo;
+            let (s_lo, q_lo) = p.dp_sums(lo);
             level.idx.push(lo);
-            level.sum.push(s);
-            level.sqsum.push(q);
-            level.herror.push(lo_val.0);
+            level.sum.push(s_lo);
+            level.sqsum.push(q_lo);
+            level.herror.push(s.lo_val.0);
+            let lower = k.checked_sub(2).map(|l| &self.levels[l]);
             level
                 .chain
-                .push(realize(&mut self.arena, p, lower, lo, lo_val.1));
+                .push(realize(&mut self.arena, p, lower, lo, s.lo_val.1));
+            debug_assert_eq!(s.fail.is_some(), lo + 1 < m, "failing probe at lo + 1");
+            carried = s.fail;
             a = lo + 1;
         }
         level.first.reserve_exact(m);
@@ -895,6 +1027,28 @@ impl<P: PrefixProvider> BatchBuild<'_, P> {
             level.first.resize(end + 1, j);
         }
         level
+    }
+
+    /// The finished level-`(k−1)` queue that level `k` minimizes over.
+    fn lower(&self, k: usize) -> Option<&BatchLevel> {
+        k.checked_sub(2).map(|l| &self.levels[l])
+    }
+
+    /// Evaluates `HERROR[c, k]` for a search probe at `c` (`lo < c ≤ hi`)
+    /// and narrows `s` by it; returns whether `c` qualified.
+    fn probe(&mut self, k: usize, s: &mut Bracket, c: usize, threshold: f64) -> bool {
+        self.probes += 1;
+        self.evals += 1;
+        let hv = batch_min(self.p, self.lower(k), c);
+        if hv.0 <= threshold {
+            s.lo = c;
+            s.lo_val = hv;
+            true
+        } else {
+            s.hi = c - 1;
+            s.fail = Some(hv);
+            false
+        }
     }
 }
 
@@ -991,9 +1145,19 @@ fn realize<P: PrefixProvider>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FixedWindowHistogram, TimeWindowHistogram};
     use proptest::prelude::*;
-    use streamhist_core::SlidingPrefixSums;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use streamhist_core::checkpoint::Checkpoint;
+    use streamhist_core::{MergeableSummary, SlidingPrefixSums};
     use streamhist_data::{collect, utilization_trace, Ar1, BurstyOnOff, Diurnal, LevelShift};
+
+    /// A cold batch build: no previous build seeds its searches.
+    fn cold<P: PrefixProvider>(p: &P, b: usize, delta: f64) -> (Histogram, KernelStats) {
+        let (h, stats, _) = Kernel::build(p, b, delta, 0, &EndpointHint::default());
+        (h, stats)
+    }
 
     fn online_over(data: &[f64], b: usize, delta: f64) -> (Kernel, StreamTotals) {
         let mut kernel = Kernel::new_online(b, delta);
@@ -1012,7 +1176,7 @@ mod tests {
         let (kernel, _) = online_over(&data, 3, 0.05);
         let online = kernel.materialize_top();
         let p = streamhist_core::PrefixSums::new(&data);
-        let (batch, stats) = Kernel::build(&p, 3, 0.05);
+        let (batch, stats) = cold(&p, 3, 0.05);
         assert_eq!(online.bucket_ends(), vec![2, 6, 9]);
         assert_eq!(batch.bucket_ends(), vec![2, 6, 9]);
         assert_eq!(stats.herror, 0.0);
@@ -1021,7 +1185,7 @@ mod tests {
     #[test]
     fn batch_over_prefix_sums_matches_single_bucket_mean() {
         let p = streamhist_core::PrefixSums::new(&[1.0, 2.0, 3.0, 4.0]);
-        let (h, stats) = Kernel::build(&p, 1, 0.1);
+        let (h, stats) = cold(&p, 1, 0.1);
         assert_eq!(h.num_buckets(), 1);
         assert!((h.buckets()[0].height - 2.5).abs() < 1e-12);
         assert!((stats.herror - 5.0).abs() < 1e-9);
@@ -1031,7 +1195,7 @@ mod tests {
     #[test]
     fn empty_batch_build() {
         let p = streamhist_core::PrefixSums::new(&[]);
-        let (h, stats) = Kernel::build(&p, 4, 0.1);
+        let (h, stats) = cold(&p, 4, 0.1);
         assert_eq!(h.domain_len(), 0);
         assert_eq!(stats.herror_evals, 0);
         assert_eq!(stats.herror, 0.0);
@@ -1133,18 +1297,18 @@ mod tests {
         let mut builds = 0usize;
         let (h1, s1) = cache.get_or_build(7, || {
             builds += 1;
-            Kernel::build(&p, 2, 0.1)
+            cold(&p, 2, 0.1)
         });
         let (h2, s2) = cache.get_or_build(7, || {
             builds += 1;
-            Kernel::build(&p, 2, 0.1)
+            cold(&p, 2, 0.1)
         });
         assert_eq!(builds, 1, "second query must be served from the cache");
         assert!(Arc::ptr_eq(&h1, &h2));
         assert_eq!(s1, s2);
         let (h3, _) = cache.get_or_build(8, || {
             builds += 1;
-            Kernel::build(&p, 2, 0.1)
+            cold(&p, 2, 0.1)
         });
         assert_eq!(builds, 2, "a new generation must rebuild");
         assert!(!Arc::ptr_eq(&h1, &h3));
@@ -1152,7 +1316,7 @@ mod tests {
         cache.clear();
         let _ = cache.get_or_build(8, || {
             builds += 1;
-            Kernel::build(&p, 2, 0.1)
+            cold(&p, 2, 0.1)
         });
         assert_eq!(builds, 3, "clear drops the cached build");
     }
@@ -1177,98 +1341,178 @@ mod tests {
         (512, 16, 0.05),
     ];
 
-    /// Stream length of a differential sweep: two windows of slides (every
-    /// 7th built twice) in optimized test builds, 16 compared slides in
-    /// unoptimized ones, where a full-range bisection build of the deep
-    /// shapes costs tens of milliseconds.
-    fn sweep_len(window: usize) -> usize {
+    /// Pushes between compared builds: the per-arrival loop, two short
+    /// slides, and one that moves most endpoints.
+    const STRIDES: [usize; 4] = [1, 3, 7, 17];
+
+    /// Stream length of a differential sweep at `stride`: in optimized
+    /// test builds, two windows of slides past the first full window, so
+    /// every stride compares slides `window..=3·window` (stride 1 all of
+    /// them); in unoptimized ones, where a full-range bisection build of
+    /// the deep shapes costs tens of milliseconds, 6 compared builds per
+    /// stride, 24 per stream and shape.
+    fn sweep_len(window: usize, stride: usize) -> usize {
         if cfg!(debug_assertions) {
-            window + 7 * 16
+            window + stride * 5
         } else {
             3 * window
         }
     }
 
-    /// Slides a fixed window of `window` points over `data` and, at every
-    /// 7th slide, builds it twice: with the shipped floor, and with an
-    /// infinite one, under which every search bisects all of `[a, m−1]`
-    /// as the paper's `CreateList` does. Asserts the two builds are
-    /// bit-identical in ends, heights, `HERROR`, queue sizes and search
-    /// counts, and returns their total evaluations `(gallop, bisect)`.
+    /// Everything a build outputs but its evaluation count, as bits: ends
+    /// and heights, `HERROR`, queue sizes and search count.
+    fn outputs(h: &Histogram, s: &KernelStats) -> (Vec<(usize, u64)>, u64, Vec<usize>, usize) {
+        let buckets = h
+            .buckets()
+            .iter()
+            .map(|bk| (bk.end, bk.height.to_bits()))
+            .collect();
+        (
+            buckets,
+            s.herror.to_bits(),
+            s.queue_sizes.clone(),
+            s.binary_searches,
+        )
+    }
+
+    /// A random sorted hint for a `b`-bucket build of an `m`-point window
+    /// at `origin`: each level predicts a random set of positions, some
+    /// of them past the window end.
+    fn garbage_hint(rng: &mut StdRng, b: usize, m: usize, origin: u64) -> EndpointHint {
+        let levels = (1..b)
+            .map(|_| {
+                let n = rng.gen_range(0..=m);
+                let mut ends: Vec<usize> =
+                    (0..n).map(|_| rng.gen_range(0..m + m / 4 + 1)).collect();
+                ends.sort_unstable();
+                ends.dedup();
+                ends
+            })
+            .collect();
+        EndpointHint { origin, levels }
+    }
+
+    /// Total evaluations of a differential sweep's cold, seeded and
+    /// full-bisection builds.
+    #[derive(Debug, Default)]
+    struct Sweep {
+        cold: usize,
+        seeded: usize,
+        bisect: usize,
+    }
+
+    /// Slides a fixed window of `window` points over `data` and, every
+    /// `stride` pushes once the window is full, builds it four ways: cold;
+    /// seeded with the previous compared build's endpoints; seeded with a
+    /// random sorted garbage hint; and with an infinite floor, under which
+    /// every search bisects all of `[a, m−1]` as the paper's `CreateList`
+    /// does. Asserts the four are bit-identical in ends, heights,
+    /// `HERROR`, queue sizes and search counts, and that neither seeded
+    /// build does more than `herror_evals + binary_searches` of the cold
+    /// one.
     fn gallop_matches_full_bisection(
         name: &str,
         data: &[f64],
         (window, b, eps): (usize, usize, f64),
-    ) -> (usize, usize) {
+        stride: usize,
+    ) -> Sweep {
         let delta = eps / (2.0 * b as f64);
         let mut p = SlidingPrefixSums::new(window);
-        let (mut gallop, mut bisect) = (0, 0);
+        let mut rng = StdRng::seed_from_u64(stride as u64);
+        let mut prev = EndpointHint::default();
+        let mut sweep = Sweep::default();
         for (i, &v) in data.iter().enumerate() {
             p.push(v);
-            if i < window || (i - window) % 7 != 0 {
+            let pushed = i + 1;
+            if pushed < window || (pushed - window) % stride != 0 {
                 continue;
             }
-            let ctx = format!("{name} at {window}/{b}/{eps}, push {i}");
-            let (hg, sg) = Kernel::build(&p, b, delta);
-            let (hb, sb) = Kernel::build_with_floor(&p, b, delta, f64::INFINITY);
-            let bits = |h: &Histogram| -> Vec<(usize, u64)> {
-                h.buckets()
-                    .iter()
-                    .map(|bk| (bk.end, bk.height.to_bits()))
-                    .collect()
-            };
-            assert_eq!(bits(&hg), bits(&hb), "{ctx}: ends or heights");
-            assert_eq!(sg.herror.to_bits(), sb.herror.to_bits(), "{ctx}: herror");
-            assert_eq!(sg.queue_sizes, sb.queue_sizes, "{ctx}: queue sizes");
-            assert_eq!(sg.binary_searches, sb.binary_searches, "{ctx}: searches");
-            gallop += sg.herror_evals;
-            bisect += sb.herror_evals;
+            let ctx = format!("{name} at {window}/{b}/{eps}, stride {stride}, push {i}");
+            let origin = (pushed - p.len()) as u64;
+            let none = EndpointHint::default();
+            let garbage = garbage_hint(&mut rng, b, p.len(), origin);
+            let (hc, sc, _) = Kernel::build(&p, b, delta, origin, &none);
+            let (hs, ss, ends) = Kernel::build(&p, b, delta, origin, &prev);
+            let (hg, sg, _) = Kernel::build(&p, b, delta, origin, &garbage);
+            let (hb, sb, _) = Kernel::build_with_floor(&p, b, delta, origin, &prev, f64::INFINITY);
+            let want = outputs(&hc, &sc);
+            for (way, h, s) in [
+                ("seeded", &hs, &ss),
+                ("garbage-seeded", &hg, &sg),
+                ("full-bisection", &hb, &sb),
+            ] {
+                assert_eq!(outputs(h, s), want, "{ctx}: {way} build differs");
+            }
+            for (way, s) in [("seeded", &ss), ("garbage-seeded", &sg)] {
+                assert!(
+                    s.herror_evals <= sc.herror_evals + sc.binary_searches,
+                    "{ctx}: {way} build did {} evals, cold {} with {} searches",
+                    s.herror_evals,
+                    sc.herror_evals,
+                    sc.binary_searches
+                );
+            }
+            sweep.cold += sc.herror_evals;
+            sweep.seeded += ss.herror_evals;
+            sweep.bisect += sb.herror_evals;
+            prev = ends;
         }
-        (gallop, bisect)
+        sweep
     }
 
     /// The golden streams.
     #[test]
     fn galloping_matches_full_bisection_on_golden_streams() {
         for shape in DIFF_SHAPES {
-            let len = sweep_len(shape.0);
-            let streams = [
-                ("utilization_trace_seed7", utilization_trace(len, 7)),
-                ("ar1_seed42", collect(Ar1::new(42, 0.9, 100.0, 25.0), len)),
-                (
-                    "bursty_seed9",
-                    collect(BurstyOnOff::new(9, 0.01, 0.08, 500.0, 1.4), len),
-                ),
-                (
-                    "level_shift_seed3",
-                    collect(LevelShift::new(3, 0.01, 200.0), len),
-                ),
-            ];
-            for (name, data) in &streams {
-                gallop_matches_full_bisection(name, data, shape);
+            for stride in STRIDES {
+                let len = sweep_len(shape.0, stride);
+                let streams = [
+                    ("utilization_trace_seed7", utilization_trace(len, 7)),
+                    ("ar1_seed42", collect(Ar1::new(42, 0.9, 100.0, 25.0), len)),
+                    (
+                        "bursty_seed9",
+                        collect(BurstyOnOff::new(9, 0.01, 0.08, 500.0, 1.4), len),
+                    ),
+                    (
+                        "level_shift_seed3",
+                        collect(LevelShift::new(3, 0.01, 200.0), len),
+                    ),
+                ];
+                for (name, data) in &streams {
+                    gallop_matches_full_bisection(name, data, shape, stride);
+                }
             }
         }
     }
 
     /// The benchmark's stationary input: a diurnal baseline plus an AR(1)
-    /// fluctuation, integerized. Galloping must also do strictly less work
-    /// there, which is the point of it.
+    /// fluctuation, integerized. There the cold build must do strictly
+    /// less work than the full bisection, and the per-arrival seeded one
+    /// strictly less than the cold one, which is the point of each.
     #[test]
     fn galloping_matches_full_bisection_on_diurnal_ar1_with_fewer_evals() {
         for shape in DIFF_SHAPES {
-            let len = sweep_len(shape.0);
-            let diurnal = collect(Diurnal::new(401, 2000.0, 800.0, 4096, 50.0), len);
-            let ar1 = collect(Ar1::new(402, 0.95, 0.0, 120.0), len);
-            let data: Vec<f64> = diurnal
-                .iter()
-                .zip(&ar1)
-                .map(|(d, a)| (d + a).round().max(0.0))
-                .collect();
-            let (gallop, bisect) = gallop_matches_full_bisection("diurnal_ar1", &data, shape);
-            assert!(
-                gallop < bisect,
-                "{shape:?}: galloping did {gallop} evals, full bisection {bisect}"
-            );
+            for stride in STRIDES {
+                let len = sweep_len(shape.0, stride);
+                let diurnal = collect(Diurnal::new(401, 2000.0, 800.0, 4096, 50.0), len);
+                let ar1 = collect(Ar1::new(402, 0.95, 0.0, 120.0), len);
+                let data: Vec<f64> = diurnal
+                    .iter()
+                    .zip(&ar1)
+                    .map(|(d, a)| (d + a).round().max(0.0))
+                    .collect();
+                let sweep = gallop_matches_full_bisection("diurnal_ar1", &data, shape, stride);
+                assert!(
+                    sweep.cold < sweep.bisect,
+                    "{shape:?} stride {stride}: {sweep:?}"
+                );
+                if stride == 1 {
+                    assert!(
+                        sweep.seeded < sweep.cold,
+                        "{shape:?} stride {stride}: {sweep:?}"
+                    );
+                }
+            }
         }
     }
 
@@ -1282,6 +1526,7 @@ mod tests {
         #[test]
         fn galloping_matches_full_bisection_on_random_windows(
             shape in prop::sample::select(DIFF_SHAPES.to_vec()),
+            stride in prop::sample::select(STRIDES.to_vec()),
             runs in prop::collection::vec((1usize..200, 0i64..2000), 1..20),
             slides in 0usize..64,
             noise in prop::sample::select(vec![0.0f64, 1e-15, 1e-13, 1e-9, 1e-3, 1.0, 50.0]),
@@ -1294,7 +1539,8 @@ mod tests {
             for &(len, level) in runs {
                 data.resize(data.len() + len, level as f64);
             }
-            let len = window + slides;
+            // No longer than the fixed sweeps' streams.
+            let len = (window + slides).min(sweep_len(window, stride));
             while data.len() < len {
                 data.extend_from_within(..data.len().min(len - data.len()));
             }
@@ -1302,7 +1548,111 @@ mod tests {
             for (i, v) in data.iter_mut().enumerate() {
                 *v += noise * jitter[i % jitter.len()] * v.abs().max(1.0);
             }
-            gallop_matches_full_bisection("random", &data, shape);
+            gallop_matches_full_bisection("random", &data, shape, stride);
         }
+    }
+
+    /// What a window summary's build must agree on with a cold build of
+    /// the same state: everything, bit for bit, except `herror_evals`,
+    /// which may exceed the cold count by at most one per search. Returns
+    /// both evaluation counts.
+    fn assert_matches_cold(
+        ctx: &str,
+        got: (Arc<Histogram>, KernelStats),
+        cold: (Arc<Histogram>, KernelStats),
+    ) -> [usize; 2] {
+        assert_eq!(
+            outputs(&got.0, &got.1),
+            outputs(&cold.0, &cold.1),
+            "{ctx}: outputs"
+        );
+        assert_eq!(
+            KernelStats {
+                herror_evals: 0,
+                ..got.1.clone()
+            },
+            KernelStats {
+                herror_evals: 0,
+                ..cold.1.clone()
+            },
+            "{ctx}: stats"
+        );
+        assert!(
+            got.1.herror_evals <= cold.1.herror_evals + cold.1.binary_searches,
+            "{ctx}: {} evals, cold {}",
+            got.1.herror_evals,
+            cold.1.herror_evals
+        );
+        [got.1.herror_evals, cold.1.herror_evals]
+    }
+
+    /// Every way a summary's state is replaced or copied leaves its builds
+    /// equal to a cold build of the same state (a restored copy starts
+    /// without a hint): reset, clone, restore and merge for the fixed
+    /// window, evictions for the time window. Building after every push,
+    /// each summary must also do less work than the cold builds, which
+    /// it cannot with a wrong window origin.
+    #[test]
+    fn seeded_builds_survive_every_summary_lifecycle_step() {
+        let data = utilization_trace(600, 11);
+        let (b, eps) = (6, 0.1);
+        let mut evals = [0, 0];
+        let mut check = |ctx: &str, fw: &FixedWindowHistogram| {
+            let fresh = FixedWindowHistogram::restore(&fw.encode_checkpoint()).expect("own frame");
+            let [seeded, cold] =
+                assert_matches_cold(ctx, fw.histogram_with_stats(), fresh.histogram_with_stats());
+            evals[0] += seeded;
+            evals[1] += cold;
+        };
+        let mut fw = FixedWindowHistogram::new(128, b, eps);
+        for (i, &v) in data[..300].iter().enumerate() {
+            fw.push(v);
+            check(&format!("push {i}"), &fw);
+        }
+        let mut copy = fw.clone();
+        for (i, &v) in data[300..340].iter().enumerate() {
+            fw.push(v);
+            copy.push(v + 1.0);
+            check(&format!("original after clone, push {i}"), &fw);
+            check(&format!("clone, push {i}"), &copy);
+        }
+        let mut restored =
+            FixedWindowHistogram::restore(&fw.encode_checkpoint()).expect("own frame");
+        for (i, &v) in data[340..380].iter().enumerate() {
+            restored.push(v);
+            check(&format!("restored, push {i}"), &restored);
+        }
+        restored.merge_from(&copy).expect("same configuration");
+        check("merged", &restored);
+        for (i, &v) in data[380..420].iter().enumerate() {
+            restored.push(v);
+            check(&format!("merged, push {i}"), &restored);
+        }
+        fw.reset();
+        for (i, &v) in data[420..].iter().enumerate() {
+            fw.push(v);
+            check(&format!("reset, push {i}"), &fw);
+        }
+        assert!(
+            evals[0] < evals[1],
+            "fixed window: seeded vs cold {evals:?}"
+        );
+
+        // Three points per tick and a 7-tick gap every 50 points, so one
+        // push can evict a single point or a whole burst.
+        let mut evals = [0, 0];
+        let mut tw = TimeWindowHistogram::new(40, b, eps);
+        for (i, &v) in data.iter().enumerate() {
+            tw.push_at((i / 3 + 7 * (i / 50)) as u64, v);
+            let fresh = TimeWindowHistogram::restore(&tw.encode_checkpoint()).expect("own frame");
+            let [seeded, cold] = assert_matches_cold(
+                &format!("time window, push {i}"),
+                tw.histogram_with_stats(),
+                fresh.histogram_with_stats(),
+            );
+            evals[0] += seeded;
+            evals[1] += cold;
+        }
+        assert!(evals[0] < evals[1], "time window: seeded vs cold {evals:?}");
     }
 }

@@ -127,8 +127,11 @@ pub struct KernelTracer {
     pub push_seconds: Arc<LatencyRecorder>,
     /// `HERROR[c, k]` evaluations.
     pub evals: Counter,
-    /// Binary-search probe evaluations inside `CreateList` (the
-    /// `log n` factor of Theorem 1, observed directly).
+    /// Endpoint-search probe evaluations inside `CreateList`: the
+    /// predicted endpoint, galloping and bisection. A non-empty build
+    /// evaluates exactly `B` positions besides its probes (each level's
+    /// first interval start and the final minimization), so this is
+    /// nearly all of `evals`.
     pub probes: Counter,
     /// Intervals produced by `CreateList` (queue entries).
     pub intervals: Counter,
@@ -173,7 +176,7 @@ impl KernelTracer {
             ),
             probes: registry.counter(
                 &format!("{PREFIX}_kernel_search_probes_total"),
-                "Binary-search probe evaluations inside CreateList.",
+                "Endpoint-search probe evaluations inside CreateList (predicted endpoint, galloping, bisection).",
             ),
             intervals: registry.counter(
                 &format!("{PREFIX}_kernel_intervals_total"),
@@ -332,6 +335,9 @@ mod tests {
         .expect("tracer thread panicked");
     }
 
+    /// The bucket budget of [`window_rounds`]' summary.
+    const B: usize = 4;
+
     /// `rounds` push + `histogram_with_stats` rounds over a fixed stream,
     /// on a fresh thread with `tracer` installed (or none).
     fn window_rounds(
@@ -340,7 +346,7 @@ mod tests {
     ) -> Vec<(Arc<streamhist_core::Histogram>, KernelStats)> {
         std::thread::spawn(move || {
             set_thread_kernel_tracer(tracer);
-            let mut fw = crate::FixedWindowHistogram::new(64, 4, 0.1);
+            let mut fw = crate::FixedWindowHistogram::new(64, B, 0.1);
             (0..rounds)
                 .map(|i| {
                     fw.push(((i * 37) % 101) as f64 + (i as f64 * 0.3).sin());
@@ -371,9 +377,11 @@ mod tests {
             evals += stats.herror_evals;
             searches += stats.binary_searches;
             queued += stats.queue_sizes.iter().sum::<usize>();
-            // Each interval's start and the final minimization are the
-            // evaluations that are not search probes.
-            probes += stats.herror_evals - stats.binary_searches - 1;
+            // Every build here is non-empty: its evaluations are the
+            // search probes, the first interval start of each of the
+            // B − 1 levels (every later start is a carried probe) and
+            // the final minimization.
+            probes += stats.herror_evals - B;
         }
         let rebases = traced[N - 1].1.rebases;
         assert!(rebases > 0, "the stream must cross a rebase");

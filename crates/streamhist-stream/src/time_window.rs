@@ -12,7 +12,7 @@
 //! histogram construction is the same `CreateList` procedure, run over a
 //! [`GrowableWindowSums`] whose eviction is timestamp-driven.
 
-use crate::kernel::{Kernel, KernelStats, SnapshotCache};
+use crate::kernel::{KernelStats, SnapshotCache};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use streamhist_core::checkpoint::{tag, Checkpoint, FrameReader, FrameWriter};
@@ -50,6 +50,12 @@ pub struct TimeWindowHistogram {
     times: VecDeque<u64>,
     raw: VecDeque<f64>,
     now: Option<u64>,
+    /// Points evicted since construction, reset or restore, so the
+    /// arrival index of the window's first point: the origin that maps the
+    /// snapshot cache's endpoint hint into the current window. Every one
+    /// of those events starts the cache empty, so the count need not
+    /// survive them, and it is not checkpointed.
+    evicted: u64,
     /// Mutation counter keying the snapshot cache (bumped on accepted
     /// pushes and on evictions, the two things that change the window).
     generation: u64,
@@ -116,6 +122,7 @@ impl TimeWindowBuilder {
             times: VecDeque::new(),
             raw: VecDeque::new(),
             now: None,
+            evicted: 0,
             generation: 0,
             cache: SnapshotCache::default(),
         })
@@ -289,6 +296,7 @@ impl TimeWindowHistogram {
         self.times.clear();
         self.raw.clear();
         self.now = None;
+        self.evicted = 0;
         self.generation += 1;
         self.cache.clear();
     }
@@ -303,6 +311,7 @@ impl TimeWindowHistogram {
             self.times.pop_front();
             self.raw.pop_front();
             self.sums.evict_oldest();
+            self.evicted += 1;
             self.generation += 1;
         }
     }
@@ -320,9 +329,13 @@ impl TimeWindowHistogram {
     /// diagnostics of the cached build when served from the cache).
     #[must_use]
     pub fn histogram_with_stats(&self) -> (Arc<Histogram>, KernelStats) {
-        self.cache.get_or_build(self.generation, || {
-            Kernel::build(&self.sums, self.b, self.delta)
-        })
+        self.cache.get_or_build_window(
+            self.generation,
+            &self.sums,
+            self.evicted,
+            self.b,
+            self.delta,
+        )
     }
 }
 
@@ -505,6 +518,7 @@ impl Checkpoint for TimeWindowHistogram {
             times,
             raw,
             now,
+            evicted: 0,
             generation,
             cache: SnapshotCache::default(),
         })

@@ -29,10 +29,10 @@ use streamhist::obs::{EventKind, FlightRecorder};
 use streamhist::{
     approx_histogram, AgglomerativeHistogram, Checkpoint, CheckpointStore, DurabilityOptions,
     DynamicWavelet, FailingStore, FixedWindowHistogram, FleetHandle, GkSummary, Histogram,
-    MemStore, MergeableSummary, MrlSummary, ObjectKind, ShardState, ShardedFixedWindow,
-    SlidingWindowWavelet, SnapshotPolicy, StoreError, StreamSummary, StreamhistError,
-    StreamingEquiDepth, Supervisor, SupervisorEvent, SupervisorOptions, TimeWindowHistogram,
-    WalSegment,
+    KernelStats, MemStore, MergeableSummary, MrlSummary, ObjectKind, ShardState,
+    ShardedFixedWindow, SlidingWindowWavelet, SnapshotPolicy, StoreError, StreamSummary,
+    StreamhistError, StreamingEquiDepth, Supervisor, SupervisorEvent, SupervisorOptions,
+    TimeWindowHistogram, WalSegment,
 };
 
 /// Directory failing frames are dumped to (uploaded by CI on failure).
@@ -385,8 +385,26 @@ fn crash_consistency_fuzz() {
         .flat_map(|shard| store.list(shard).expect("listable"))
         .flat_map(|id| store.get(&id).expect("readable"))
         .collect();
+    // Histograms and every stat but `herror_evals` are functions of the
+    // window alone, so they round-trip bit for bit. A loaded shard has no
+    // earlier build to seed its searches, so it does the cold build's
+    // work; the live shards' builds were seeded and may do up to one
+    // evaluation per search more.
     let reloaded = sharded.snapshot_all();
-    if snaps != reloaded {
+    let window_only = |s: &KernelStats| KernelStats {
+        herror_evals: 0,
+        ..s.clone()
+    };
+    let round_trips = snaps.len() == reloaded.len()
+        && snaps.iter().zip(&reloaded).all(|pair| match pair {
+            (Ok((h, s)), Ok((cold_h, cold))) => {
+                h == cold_h
+                    && window_only(s) == window_only(cold)
+                    && s.herror_evals <= cold.herror_evals + cold.binary_searches
+            }
+            _ => false,
+        });
+    if !round_trips {
         let p = dump_artifact(&format!("fuzz-fleet-save-seed-{seed}"), &save);
         panic!(
             "fleet save did not round-trip (seed {seed}); save written to {}",
