@@ -40,7 +40,12 @@
 //!   Finished levels are stored structure-of-arrays with a per-index
 //!   table of the first endpoint at or past each position, so the
 //!   straddling interval is an O(1) lookup and the candidate scan runs
-//!   over contiguous slices.
+//!   over contiguous slices. The scan breaks on a lower envelope of the
+//!   level being built: each level-`k` interval's start value bounds
+//!   `HERROR[·, k]` over the interval, so a candidate's split cost plus
+//!   the bound at its endpoint is a floor under it and every farther
+//!   candidate ([`Envelope`]); the online mode breaks on the split cost
+//!   alone.
 //!
 //! Boundary chains live in a [`CutArena`] — flat, index-linked, `Send` —
 //! and the online mode reclaims dropped chains generationally via
@@ -791,20 +796,24 @@ impl Kernel {
         origin: u64,
         hint: &EndpointHint,
     ) -> (Histogram, KernelStats, EndpointHint) {
-        Self::build_with_floor(p, b, delta, origin, hint, GALLOP_NOISE_FLOOR)
+        Self::build_with(p, b, delta, origin, hint, GALLOP_NOISE_FLOOR, true)
     }
 
     /// [`build`](Self::build) with the galloping search's relative
-    /// rounding floor as a parameter. Only the differential tests pass
-    /// anything but [`GALLOP_NOISE_FLOOR`]: a floor of `+∞` bisects every
-    /// search over the whole `[a, m−1]` and ignores the hint.
-    fn build_with_floor<P: PrefixProvider>(
+    /// rounding floor and the candidate scan's lower-envelope break as
+    /// parameters. Only the differential tests pass anything but
+    /// [`GALLOP_NOISE_FLOOR`] and `true`: a floor of `+∞` bisects every
+    /// search over the whole `[a, m−1]`, ignores the hint and leaves every
+    /// envelope bound at 0, and `envelope = false` scans with the plain
+    /// `SQERROR ≥ best` break alone.
+    fn build_with<P: PrefixProvider>(
         p: &P,
         b: usize,
         delta: f64,
         origin: u64,
         hint: &EndpointHint,
         floor: f64,
+        envelope: bool,
     ) -> (Histogram, KernelStats, EndpointHint) {
         let trace =
             crate::telemetry::active_kernel_tracer().map(|t| (t, std::time::Instant::now()));
@@ -825,20 +834,27 @@ impl Kernel {
             noise_floor: m.checked_sub(1).map_or(0.0, |end| floor * p.dp_sums(end).1),
             hint,
             shift,
+            envelope,
+            env: Envelope::default(),
             arena: CutArena::new(),
             levels: Vec::with_capacity(b.saturating_sub(1)),
             evals: 0,
             searches: 0,
             probes: 0,
+            candidates: 0,
         };
         let top = (m > 0).then(|| {
             for k in 1..b {
                 let level = build.create_list(k, m);
                 build.levels.push(level);
             }
-            build.evals += 1;
+            // Level B has no intervals, so its minimization breaks on
+            // SQERROR alone.
+            build
+                .env
+                .reset(build.levels.last().map_or(0, |l| l.idx.len()));
+            let (h, pick) = build.eval(b, m - 1);
             let lower = build.levels.last();
-            let (h, pick) = batch_min(p, lower, m - 1);
             (h, realize(&mut build.arena, p, lower, m - 1, pick))
         });
 
@@ -849,6 +865,7 @@ impl Kernel {
             t.builds.inc();
             t.evals.inc_by(build.evals as u64);
             t.probes.inc_by(build.probes);
+            t.candidates.inc_by(build.candidates);
             t.intervals.inc_by(build.searches as u64);
             t.build_seconds.record(start.elapsed());
         }
@@ -894,8 +911,8 @@ enum Pick {
 /// sums, approximate `HERROR` and realized boundary chain. The intervals
 /// tile `[0, m)`, so `first[c]` (the first endpoint at or past `c`) is
 /// defined for every position and names the interval straddling `c`.
-/// Nothing reads an interval's start error once its search is done, so
-/// the level does not keep it.
+/// Only the next level's build reads an interval's start error, through
+/// its [`Envelope`], so the finished level does not keep it.
 #[derive(Debug, Default)]
 struct BatchLevel {
     idx: Vec<usize>,
@@ -921,6 +938,11 @@ struct BatchBuild<'p, P> {
     /// `e − shift` of this window.
     hint: &'p [Vec<usize>],
     shift: usize,
+    /// Whether interval starts enter the [`Envelope`] (`false` only in the
+    /// differential tests).
+    envelope: bool,
+    /// Lower bounds for the candidate scan of the level being built.
+    env: Envelope,
     arena: CutArena,
     /// `levels[k-1]` is the finished queue of level `k`.
     levels: Vec<BatchLevel>,
@@ -930,6 +952,36 @@ struct BatchBuild<'p, P> {
     /// bisection), kept for the tracer: `evals` also counts each level's
     /// first interval start and the final minimization.
     probes: u64,
+    /// Split candidates scanned over all evaluations, kept for the tracer.
+    candidates: u64,
+}
+
+/// The lower envelope of `HERROR[·, k]` for the level-`k` build under
+/// way, as the candidate scan of [`batch_min`] reads it: a bound on
+/// `HERROR[idx, k]` for every level-`(k−1)` endpoint `idx` the scan may
+/// reach. `HERROR[·, k]` is monotone above the rounding floor, so every
+/// position of a level-`k` interval is bounded by the interval's start
+/// value; starts at or below the floor bound nothing and count as 0.
+#[derive(Debug, Default)]
+struct Envelope {
+    /// `lb[j]`: the bound of lower endpoint `j`, filled once its level-`k`
+    /// interval is finished; 0 until then (and for the level-`B`
+    /// minimization, which has no intervals).
+    lb: Vec<f64>,
+    /// Start of the running interval: lower endpoints at or past it are
+    /// bounded by `t`, its (floored) start value.
+    from: usize,
+    t: f64,
+}
+
+impl Envelope {
+    /// All-zero bounds over a lower queue of `len` endpoints.
+    fn reset(&mut self, len: usize) {
+        self.lb.clear();
+        self.lb.resize(len, 0.0);
+        self.from = 0;
+        self.t = 0.0;
+    }
 }
 
 /// An endpoint search's bracket: `lo` qualifies (its value and pick in
@@ -962,17 +1014,34 @@ impl<P: PrefixProvider> BatchBuild<'_, P> {
     /// ends at `lo = hi`), and that is the next interval's start: its
     /// value is carried over instead of evaluated again. Probes only
     /// minimize; the chain is built once, for the endpoint kept.
+    ///
+    /// Each interval's start value also bounds `HERROR[·, k]` over the
+    /// interval, so it enters the [`Envelope`] the level's minimizations
+    /// break on: once the running interval, and once its lower endpoints
+    /// are behind the next start, in their column.
     fn create_list(&mut self, k: usize, m: usize) -> BatchLevel {
         let p = self.p;
         let mut hint = self.hint.get(k - 1).map_or(&[][..], Vec::as_slice);
         let mut level = BatchLevel::default();
+        self.env.reset(self.lower(k).map_or(0, |l| l.idx.len()));
+        let mut filled = 0;
         let mut a = 0usize;
         let mut carried = None;
         while a < m {
-            let (t, pick_a) = carried.take().unwrap_or_else(|| {
-                self.evals += 1;
-                batch_min(p, self.lower(k), a)
-            });
+            if k >= 2 {
+                // The lower endpoints of the interval that ended at a − 1.
+                let to = self.levels[k - 2].first[a];
+                let t = self.env.t;
+                self.env.lb[filled..to].fill(t);
+                filled = to;
+            }
+            self.env.from = a;
+            let (t, pick_a) = carried.take().unwrap_or_else(|| self.eval(k, a));
+            self.env.t = if self.envelope && t > self.noise_floor {
+                t
+            } else {
+                0.0
+            };
             let threshold = (1.0 + self.delta) * t;
             // Search for the maximal c in [a, m-1] with HERROR[c, k] <=
             // threshold. HERROR[a, k] = t qualifies, so the bracket
@@ -1034,12 +1103,19 @@ impl<P: PrefixProvider> BatchBuild<'_, P> {
         k.checked_sub(2).map(|l| &self.levels[l])
     }
 
+    /// Evaluates `HERROR[c, k]` against the current envelope.
+    fn eval(&mut self, k: usize, c: usize) -> (f64, Pick) {
+        self.evals += 1;
+        let (h, pick, scanned) = batch_min(self.p, self.lower(k), &self.env, c);
+        self.candidates += scanned as u64;
+        (h, pick)
+    }
+
     /// Evaluates `HERROR[c, k]` for a search probe at `c` (`lo < c ≤ hi`)
     /// and narrows `s` by it; returns whether `c` qualified.
     fn probe(&mut self, k: usize, s: &mut Bracket, c: usize, threshold: f64) -> bool {
         self.probes += 1;
-        self.evals += 1;
-        let hv = batch_min(self.p, self.lower(k), c);
+        let hv = self.eval(k, c);
         if hv.0 <= threshold {
             s.lo = c;
             s.lo_val = hv;
@@ -1054,8 +1130,10 @@ impl<P: PrefixProvider> BatchBuild<'_, P> {
 
 /// Batch `HERROR[c, k]` (window-relative, 0-based `c`) over the finished
 /// level-`(k−1)` queue `lower` (`None` for `k = 1`): the minimum SSE of
-/// representing `[0, c]` with at most `k` buckets, and the [`Pick`] whose
-/// chain realizes it (its realized SSE never exceeds the value).
+/// representing `[0, c]` with at most `k` buckets, the [`Pick`] whose
+/// chain realizes it (its realized SSE never exceeds the value), and the
+/// number of split candidates scanned (the one the break stops at
+/// included).
 ///
 /// Candidates, in evaluation order:
 /// 1. the single bucket `[0, c]` (the `i = −1` split);
@@ -1070,15 +1148,27 @@ impl<P: PrefixProvider> BatchBuild<'_, P> {
 ///    falls inside a straddling interval, because candidates 3 stop one
 ///    full interval short of `c`;
 /// 3. every endpoint `e` with `e.idx < c`, costed as
-///    `HERROR[e, k−1] + SQERROR[e+1, c]`, scanned nearest-first:
-///    `SQERROR[e+1, c]` is non-increasing in `e.idx`, so once it alone
-///    reaches the best value so far, every farther candidate is provably
-///    no better and the scan stops without affecting the computed minimum.
-///    Ties keep the nearer candidate (strict `<`).
-fn batch_min<P: PrefixProvider>(p: &P, lower: Option<&BatchLevel>, c: usize) -> (f64, Pick) {
+///    `HERROR[e, k−1] + SQERROR[e+1, c]`, scanned nearest-first until
+///    `lb + SQERROR[e+1, c]` reaches the best value so far, where `lb` is
+///    the envelope's bound on `HERROR[e.idx, k]`. Neither `e` nor any
+///    farther candidate can then improve: `HERROR[e, k−1]` is itself a
+///    candidate of `HERROR[e.idx, k]` (the straddling one), so it is at
+///    least `lb`; and a farther `e'` costs at least `HERROR[e.idx, k] +
+///    SQERROR[e+1, c]`, because splitting its last bucket at `e.idx`
+///    cannot raise the SSE. The check precedes costing `e`, so the
+///    candidate that triggers it is skipped too. With `lb = 0` this is
+///    the plain break on `SQERROR` alone (`SQERROR[e+1, c]` is
+///    non-increasing in `e.idx`). Ties keep the nearer candidate (strict
+///    `<`).
+fn batch_min<P: PrefixProvider>(
+    p: &P,
+    lower: Option<&BatchLevel>,
+    env: &Envelope,
+    c: usize,
+) -> (f64, Pick, usize) {
     let mut best = p.head_sqerror(c);
     let Some(lv) = lower else {
-        return (best, Pick::Head);
+        return (best, Pick::Head, 0);
     };
     let pp = lv.first[c];
     let mut pick = Pick::Head;
@@ -1089,20 +1179,25 @@ fn batch_min<P: PrefixProvider>(p: &P, lower: Option<&BatchLevel>, c: usize) -> 
         pick = Pick::Straddle(pp);
     }
     let (s_c, q_c) = p.dp_sums(c);
+    let (from, t) = (env.from, env.t);
     let mut split = usize::MAX;
+    let mut stop = 0;
     let candidates = lv.idx[..pp]
         .iter()
         .zip(&lv.sum[..pp])
         .zip(&lv.sqsum[..pp])
         .zip(&lv.herror[..pp])
+        .zip(&env.lb[..pp])
         .enumerate()
         .rev();
-    for (j, (((&idx, &sum), &sqsum), &herror)) in candidates {
+    for (j, ((((&idx, &sum), &sqsum), &herror), &lb)) in candidates {
         let len = (c - idx) as f64;
         let s = s_c - sum;
         let q = q_c - sqsum;
         let sq = (q - s * s / len).max(0.0);
-        if sq >= best {
+        let lb = if idx >= from { t } else { lb };
+        if sq + lb >= best {
+            stop = j;
             break;
         }
         let val = herror + sq;
@@ -1113,7 +1208,7 @@ fn batch_min<P: PrefixProvider>(p: &P, lower: Option<&BatchLevel>, c: usize) -> 
     if split != usize::MAX {
         pick = Pick::Split(split);
     }
-    (best, pick)
+    (best, pick, pp - stop)
 }
 
 /// Builds the boundary chain of `pick` for position `c` against the
@@ -1434,7 +1529,7 @@ mod tests {
             let (hc, sc, _) = Kernel::build(&p, b, delta, origin, &none);
             let (hs, ss, ends) = Kernel::build(&p, b, delta, origin, &prev);
             let (hg, sg, _) = Kernel::build(&p, b, delta, origin, &garbage);
-            let (hb, sb, _) = Kernel::build_with_floor(&p, b, delta, origin, &prev, f64::INFINITY);
+            let (hb, sb, _) = Kernel::build_with(&p, b, delta, origin, &prev, f64::INFINITY, true);
             let want = outputs(&hc, &sc);
             for (way, h, s) in [
                 ("seeded", &hs, &ss),
@@ -1460,47 +1555,58 @@ mod tests {
         sweep
     }
 
+    /// The four golden streams, `len` points each. The two level-shaped
+    /// ones (`bursty_seed9`, `level_shift_seed3`) have windows of few
+    /// constant runs, where deep levels' `HERROR` falls below the
+    /// rounding floor.
+    fn golden_streams(len: usize) -> [(&'static str, Vec<f64>); 4] {
+        [
+            ("utilization_trace_seed7", utilization_trace(len, 7)),
+            ("ar1_seed42", collect(Ar1::new(42, 0.9, 100.0, 25.0), len)),
+            (
+                "bursty_seed9",
+                collect(BurstyOnOff::new(9, 0.01, 0.08, 500.0, 1.4), len),
+            ),
+            (
+                "level_shift_seed3",
+                collect(LevelShift::new(3, 0.01, 200.0), len),
+            ),
+        ]
+    }
+
+    /// The benchmark's stationary input: a diurnal baseline plus an AR(1)
+    /// fluctuation, integerized.
+    fn diurnal_ar1(len: usize) -> Vec<f64> {
+        let diurnal = collect(Diurnal::new(401, 2000.0, 800.0, 4096, 50.0), len);
+        let ar1 = collect(Ar1::new(402, 0.95, 0.0, 120.0), len);
+        diurnal
+            .iter()
+            .zip(&ar1)
+            .map(|(d, a)| (d + a).round().max(0.0))
+            .collect()
+    }
+
     /// The golden streams.
     #[test]
     fn galloping_matches_full_bisection_on_golden_streams() {
         for shape in DIFF_SHAPES {
             for stride in STRIDES {
-                let len = sweep_len(shape.0, stride);
-                let streams = [
-                    ("utilization_trace_seed7", utilization_trace(len, 7)),
-                    ("ar1_seed42", collect(Ar1::new(42, 0.9, 100.0, 25.0), len)),
-                    (
-                        "bursty_seed9",
-                        collect(BurstyOnOff::new(9, 0.01, 0.08, 500.0, 1.4), len),
-                    ),
-                    (
-                        "level_shift_seed3",
-                        collect(LevelShift::new(3, 0.01, 200.0), len),
-                    ),
-                ];
-                for (name, data) in &streams {
+                for (name, data) in &golden_streams(sweep_len(shape.0, stride)) {
                     gallop_matches_full_bisection(name, data, shape, stride);
                 }
             }
         }
     }
 
-    /// The benchmark's stationary input: a diurnal baseline plus an AR(1)
-    /// fluctuation, integerized. There the cold build must do strictly
-    /// less work than the full bisection, and the per-arrival seeded one
-    /// strictly less than the cold one, which is the point of each.
+    /// The benchmark's stationary input. There the cold build must do
+    /// strictly less work than the full bisection, and the per-arrival
+    /// seeded one strictly less than the cold one, which is the point of
+    /// each.
     #[test]
     fn galloping_matches_full_bisection_on_diurnal_ar1_with_fewer_evals() {
         for shape in DIFF_SHAPES {
             for stride in STRIDES {
-                let len = sweep_len(shape.0, stride);
-                let diurnal = collect(Diurnal::new(401, 2000.0, 800.0, 4096, 50.0), len);
-                let ar1 = collect(Ar1::new(402, 0.95, 0.0, 120.0), len);
-                let data: Vec<f64> = diurnal
-                    .iter()
-                    .zip(&ar1)
-                    .map(|(d, a)| (d + a).round().max(0.0))
-                    .collect();
+                let data = diurnal_ar1(sweep_len(shape.0, stride));
                 let sweep = gallop_matches_full_bisection("diurnal_ar1", &data, shape, stride);
                 assert!(
                     sweep.cold < sweep.bisect,
@@ -1549,7 +1655,128 @@ mod tests {
                 *v += noise * jitter[i % jitter.len()] * v.abs().max(1.0);
             }
             gallop_matches_full_bisection("random", &data, shape, stride);
+            envelope_matches_plain_break("random", &data, shape, stride);
         }
+    }
+
+    /// The lower-envelope sweep's shapes: the golden window, the benchmark
+    /// shape and a deeper one. The deviation-2 shape `(2048, 16, 0.01)`
+    /// has a test of its own.
+    const ENVELOPE_SHAPES: [(usize, usize, f64); 3] =
+        [(128, 8, 0.1), (512, 8, 0.1), (512, 16, 0.05)];
+
+    /// Pushes between compared builds of the envelope sweep.
+    const ENVELOPE_STRIDES: [usize; 3] = [1, 7, 17];
+
+    /// Stream length of an envelope sweep at `stride`: one window of
+    /// slides past the first full window in optimized test builds, 6
+    /// compared builds in unoptimized ones.
+    fn envelope_sweep_len(window: usize, stride: usize) -> usize {
+        if cfg!(debug_assertions) {
+            window + stride * 5
+        } else {
+            2 * window
+        }
+    }
+
+    /// Slides a fixed window of `window` points over `data` and, every
+    /// `stride` pushes once the window is full, builds it cold and seeded
+    /// with the previous seeded build's endpoints, each with and without
+    /// the lower-envelope break. Asserts that the envelope changes no
+    /// output — ends and heights (bits) and every [`KernelStats`] field,
+    /// `herror_evals` included — and that it never scans more candidates
+    /// than the plain break. Returns the candidates scanned with and
+    /// without it, counted by a [`KernelTracer`](crate::telemetry::KernelTracer)
+    /// on this thread.
+    fn envelope_matches_plain_break(
+        name: &str,
+        data: &[f64],
+        (window, b, eps): (usize, usize, f64),
+        stride: usize,
+    ) -> [u64; 2] {
+        use crate::telemetry::{set_thread_kernel_tracer, KernelTracer};
+        let tracer = Arc::new(KernelTracer::new(&streamhist_obs::MetricsRegistry::new()));
+        set_thread_kernel_tracer(Some(Arc::clone(&tracer)));
+        let delta = eps / (2.0 * b as f64);
+        let mut p = SlidingPrefixSums::new(window);
+        let none = EndpointHint::default();
+        let mut prev = EndpointHint::default();
+        let mut scanned = [0, 0];
+        for (i, &v) in data.iter().enumerate() {
+            p.push(v);
+            let pushed = i + 1;
+            if pushed < window || (pushed - window) % stride != 0 {
+                continue;
+            }
+            let origin = (pushed - p.len()) as u64;
+            let mut next = EndpointHint::default();
+            for (way, hint) in [("cold", &none), ("seeded", &prev)] {
+                let ctx = format!("{name} at {window}/{b}/{eps}, stride {stride}, push {i}, {way}");
+                let [(h, s, ends, n), (h0, s0, _, n0)] = [true, false].map(|envelope| {
+                    let before = tracer.candidates.get();
+                    let (h, s, ends) = Kernel::build_with(
+                        &p,
+                        b,
+                        delta,
+                        origin,
+                        hint,
+                        GALLOP_NOISE_FLOOR,
+                        envelope,
+                    );
+                    (h, s, ends, tracer.candidates.get() - before)
+                });
+                assert_eq!(outputs(&h, &s), outputs(&h0, &s0), "{ctx}: outputs");
+                assert_eq!(s, s0, "{ctx}: stats");
+                assert!(
+                    n <= n0,
+                    "{ctx}: {n} candidates with the envelope, {n0} without"
+                );
+                scanned[0] += n;
+                scanned[1] += n0;
+                next = ends;
+            }
+            prev = next;
+        }
+        set_thread_kernel_tracer(None);
+        scanned
+    }
+
+    /// Runs [`envelope_matches_plain_break`] at every envelope stride over
+    /// the golden streams and the benchmark's input, each `len(stride)`
+    /// points long. On the latter the envelope must scan strictly fewer
+    /// candidates, which is its point.
+    fn envelope_sweep(shape: (usize, usize, f64), len: impl Fn(usize) -> usize) {
+        for stride in ENVELOPE_STRIDES {
+            let len = len(stride);
+            for (name, data) in &golden_streams(len) {
+                envelope_matches_plain_break(name, data, shape, stride);
+            }
+            let [with, without] =
+                envelope_matches_plain_break("diurnal_ar1", &diurnal_ar1(len), shape, stride);
+            assert!(
+                with < without,
+                "{shape:?} stride {stride}: {with} vs {without}"
+            );
+        }
+    }
+
+    #[test]
+    fn envelope_break_matches_plain_break() {
+        for shape in ENVELOPE_SHAPES {
+            envelope_sweep(shape, |stride| envelope_sweep_len(shape.0, stride));
+        }
+    }
+
+    /// The deviation-2 shape, where the scan is longest: 8 compared
+    /// builds per stream and stride, in optimized test builds only
+    /// (unoptimized builds of this shape are too slow for the default
+    /// test run).
+    #[test]
+    fn envelope_break_matches_plain_break_at_2048_16() {
+        if cfg!(debug_assertions) {
+            return;
+        }
+        envelope_sweep((2048, 16, 0.01), |stride| 2048 + 7 * stride);
     }
 
     /// What a window summary's build must agree on with a cold build of

@@ -133,6 +133,12 @@ pub struct KernelTracer {
     /// first interval start and the final minimization), so this is
     /// nearly all of `evals`.
     pub probes: Counter,
+    /// Split candidates the batch minimization scanned, over all its
+    /// `HERROR[c, k]` evaluations: Theorem 1's innermost unit, so
+    /// `candidates / evals` is the mean scan length per evaluation. A scan
+    /// stops at the first candidate its lower-envelope break rules out,
+    /// and that candidate is counted.
+    pub candidates: Counter,
     /// Intervals produced by `CreateList` (queue entries).
     pub intervals: Counter,
     /// Arena compaction events.
@@ -177,6 +183,10 @@ impl KernelTracer {
             probes: registry.counter(
                 &format!("{PREFIX}_kernel_search_probes_total"),
                 "Endpoint-search probe evaluations inside CreateList (predicted endpoint, galloping, bisection).",
+            ),
+            candidates: registry.counter(
+                &format!("{PREFIX}_kernel_candidates_total"),
+                "Split candidates scanned by batch HERROR[c, k] evaluations (per eval: divide by herror_evals_total).",
             ),
             intervals: registry.counter(
                 &format!("{PREFIX}_kernel_intervals_total"),
@@ -373,6 +383,7 @@ mod tests {
         );
 
         let (mut evals, mut searches, mut queued, mut probes) = (0, 0, 0, 0);
+        let mut available = 0;
         for (_, stats) in &traced {
             evals += stats.herror_evals;
             searches += stats.binary_searches;
@@ -382,6 +393,9 @@ mod tests {
             // B − 1 levels (every later start is a carried probe) and
             // the final minimization.
             probes += stats.herror_evals - B;
+            // Each evaluation scans at most its whole lower queue, and
+            // every lower queue is one of the build's level queues.
+            available += stats.herror_evals * stats.queue_sizes.iter().max().copied().unwrap_or(0);
         }
         let rebases = traced[N - 1].1.rebases;
         assert!(rebases > 0, "the stream must cross a rebase");
@@ -390,6 +404,11 @@ mod tests {
         assert_eq!(tracer.intervals.get(), searches as u64);
         assert_eq!(searches, queued);
         assert_eq!(tracer.probes.get(), probes as u64);
+        let candidates = tracer.candidates.get();
+        assert!(
+            0 < candidates && candidates <= available as u64,
+            "{candidates} candidates scanned, {available} available"
+        );
         assert_eq!(tracer.rebases.get(), rebases as u64);
         assert_eq!(
             tracer.pushes.get(),
