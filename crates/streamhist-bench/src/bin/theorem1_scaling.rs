@@ -2,11 +2,15 @@
 //! materialization cost is `O((B³/ε²) log³ n)` — polylogarithmic in the
 //! window length but polynomial in `B` and `1/ε` — and compares it against
 //! the naive `O(n²B)` per-window DP, locating the crossover where the
-//! paper's algorithm starts winning. Beside each CreateList time it
-//! prints the work in the theorem's own units: `HERROR` evaluations and
-//! endpoint searches per build, split candidates scanned per evaluation
-//! (the innermost factor, counted by a kernel tracer in an untimed replay
-//! of the same builds), nanoseconds per evaluation, and the evaluations per build divided by
+//! paper's algorithm starts winning. Each row builds once cold, discards
+//! that build, then times 15 warm builds at consecutive window positions,
+//! each seeded by the build one push earlier as in the paper's
+//! per-arrival loop: times are the median of the 15, work counts their
+//! mean. Beside each CreateList time it prints the work in the theorem's
+//! own units: `HERROR` evaluations and endpoint searches per build, split
+//! candidates scanned per evaluation (the innermost factor, counted by a
+//! kernel tracer in an untimed replay of the same builds), nanoseconds
+//! per evaluation, and the evaluations per build divided by
 //! `(B³/ε²) log₂³ n` — the constant the theorem's bound hides, which
 //! stays flat as the window grows if the `log³ n` growth holds.
 //!
@@ -20,19 +24,22 @@ use streamhist_obs::MetricsRegistry;
 use streamhist_stream::telemetry::{set_thread_kernel_tracer, KernelTracer};
 use streamhist_stream::{FixedWindowHistogram, NaiveSlidingWindow};
 
-/// Mean cost of one fixed-window materialization, with its work counts.
+/// Warm builds timed per row, after one discarded cold build.
+const WARM_BUILDS: usize = 15;
+
+/// Cost of one warm fixed-window materialization, with its work counts.
 struct Cost {
-    /// CreateList seconds per build.
+    /// Median CreateList seconds per build.
     fw_s: f64,
-    /// Naive-DP seconds per build.
+    /// Median naive-DP seconds per build.
     naive_s: f64,
     /// Total interval count over the level queues (last build).
     queue_total: usize,
-    /// `HERROR` evaluations per build.
+    /// Mean `HERROR` evaluations per build.
     evals: f64,
-    /// Binary searches per build.
+    /// Mean binary searches per build.
     searches: f64,
-    /// Split candidates scanned per build.
+    /// Mean split candidates scanned per build.
     candidates: f64,
 }
 
@@ -52,18 +59,25 @@ fn theorem1_units(window: usize, b: usize, eps: f64) -> f64 {
     (b as f64).powi(3) / (eps * eps) * (window as f64).log2().powi(3)
 }
 
-/// Split candidates the `reps` builds of [`materialization_cost`] scan,
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Split candidates the warm builds of [`materialization_cost`] scan,
 /// counted by a kernel tracer over a replay of the same pushes and builds
 /// (untimed, so the tracer's own cost stays out of the timings).
-fn candidates_scanned(window: usize, b: usize, eps: f64, stream: &[f64], reps: usize) -> u64 {
+fn candidates_scanned(window: usize, b: usize, eps: f64, stream: &[f64]) -> u64 {
+    let mut fw = FixedWindowHistogram::new(window, b, eps);
+    for &v in &stream[..=window] {
+        fw.push(v);
+    }
+    std::hint::black_box(fw.histogram_with_stats());
     let tracer = Arc::new(KernelTracer::new(&MetricsRegistry::new()));
     set_thread_kernel_tracer(Some(Arc::clone(&tracer)));
-    let mut fw = FixedWindowHistogram::new(window, b, eps);
-    for (i, &v) in stream[..window + reps].iter().enumerate() {
+    for &v in &stream[window + 1..=window + WARM_BUILDS] {
         fw.push(v);
-        if i >= window {
-            std::hint::black_box(fw.histogram_with_stats());
-        }
+        std::hint::black_box(fw.histogram_with_stats());
     }
     set_thread_kernel_tracer(None);
     tracer.candidates.get()
@@ -71,40 +85,41 @@ fn candidates_scanned(window: usize, b: usize, eps: f64, stream: &[f64], reps: u
 
 fn materialization_cost(window: usize, b: usize, eps: f64, stream: &[f64]) -> Cost {
     let mut fw = FixedWindowHistogram::new(window, b, eps);
-    for &v in &stream[..window] {
+    for &v in &stream[..=window] {
         fw.push(v);
     }
-    // Time several materializations at different window positions.
-    let reps = 5usize;
-    let mut total = 0.0;
+    std::hint::black_box(fw.histogram_with_stats());
+    let mut times = Vec::with_capacity(WARM_BUILDS);
     let (mut evals, mut searches, mut queue_total) = (0usize, 0usize, 0usize);
-    for r in 0..reps {
-        fw.push(stream[window + r]);
+    for &v in &stream[window + 1..=window + WARM_BUILDS] {
+        fw.push(v);
         let ((_, s), t) = timed(|| fw.histogram_with_stats());
-        total += t.as_secs_f64();
+        times.push(t.as_secs_f64());
         evals += s.herror_evals;
         searches += s.binary_searches;
         queue_total = s.queue_sizes.iter().sum();
     }
-    // Naive DP on the same windows.
+    // Naive DP on the same windows, with the same discarded first build.
     let mut naive = NaiveSlidingWindow::new(window, b);
-    for &v in &stream[..window] {
+    for &v in &stream[..=window] {
         naive.push(v);
     }
-    let mut naive_total = 0.0;
-    for r in 0..reps {
-        naive.push(stream[window + r]);
+    std::hint::black_box(naive.histogram());
+    let mut naive_times = Vec::with_capacity(WARM_BUILDS);
+    for &v in &stream[window + 1..=window + WARM_BUILDS] {
+        naive.push(v);
         let (h, t) = timed(|| naive.histogram());
         std::hint::black_box(h);
-        naive_total += t.as_secs_f64();
+        naive_times.push(t.as_secs_f64());
     }
+    let builds = WARM_BUILDS as f64;
     Cost {
-        fw_s: total / reps as f64,
-        naive_s: naive_total / reps as f64,
+        fw_s: median(times),
+        naive_s: median(naive_times),
         queue_total,
-        evals: evals as f64 / reps as f64,
-        searches: searches as f64 / reps as f64,
-        candidates: candidates_scanned(window, b, eps, stream, reps) as f64 / reps as f64,
+        evals: evals as f64 / builds,
+        searches: searches as f64 / builds,
+        candidates: candidates_scanned(window, b, eps, stream) as f64 / builds,
     }
 }
 

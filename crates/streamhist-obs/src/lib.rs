@@ -25,8 +25,7 @@
 //! * [`ExpositionServer`] — a tiny blocking `std::net::TcpListener` loop
 //!   serving the exposition over HTTP for `curl`/Prometheus scrapes.
 //! * [`json_snapshot`](MetricsRegistry::json_snapshot) — a JSON dump of
-//!   the same gather, reused by the bench binaries for committed
-//!   `BENCH_*.json` artifacts.
+//!   the same gather.
 //!
 //! Nothing in this crate calls back into the instrumented code paths: the
 //! recorder's GK backend is a plain value-domain sketch with no histogram

@@ -26,10 +26,6 @@
 
 pub mod brute;
 pub mod dp;
-pub mod maxerr;
-pub mod sae;
 
 pub use brute::brute_force_optimal;
 pub use dp::{herror_table, optimal_histogram, optimal_sse};
-pub use maxerr::{max_error_dp, max_error_histogram, realized_max_error, RangeMinMax};
-pub use sae::{optimal_histogram_sae, realized_sae, RollingMedian};

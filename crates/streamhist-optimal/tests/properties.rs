@@ -1,14 +1,9 @@
-//! Property tests for the optimal constructions: DP-vs-brute-force
-//! agreement under all three error objectives, the §4.2 monotonicity
-//! observations the streaming algorithms rest on, and cross-objective
-//! dominance (each construction wins on its own metric).
+//! Property tests for the optimal construction: DP-vs-brute-force
+//! agreement, the §4.2 monotonicity observations the streaming
+//! algorithms rest on, and structural soundness.
 
 use proptest::prelude::*;
-use streamhist_optimal::{
-    brute_force_optimal, herror_table, max_error_dp, max_error_histogram, optimal_histogram,
-    optimal_histogram_sae, optimal_sse, realized_max_error, realized_sae, RangeMinMax,
-    RollingMedian,
-};
+use streamhist_optimal::{brute_force_optimal, herror_table, optimal_histogram, optimal_sse};
 
 fn data_strategy(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-50..50i64, 1..max_len)
@@ -24,39 +19,6 @@ proptest! {
         let brute = brute_force_optimal(&data, b);
         prop_assert!((dp.sse(&data) - brute.sse(&data)).abs() < 1e-9);
         prop_assert!((optimal_sse(&data, b) - dp.sse(&data)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn maxerr_greedy_matches_dp(data in data_strategy(14), b in 1usize..5) {
-        let greedy = realized_max_error(&max_error_histogram(&data, b), &data);
-        let dp = realized_max_error(&max_error_dp(&data, b), &data);
-        prop_assert!((greedy - dp).abs() < 1e-6, "greedy {greedy} vs dp {dp}");
-    }
-
-    #[test]
-    fn each_objective_wins_its_own_metric(data in data_strategy(20), b in 1usize..5) {
-        let h_sse = optimal_histogram(&data, b);
-        let h_sae = optimal_histogram_sae(&data, b);
-        let h_max = max_error_histogram(&data, b);
-        // SSE-optimal has the least SSE.
-        prop_assert!(h_sse.sse(&data) <= h_sae.sse(&data) + 1e-6);
-        prop_assert!(h_sse.sse(&data) <= h_max.sse(&data) + 1e-6);
-        // SAE-optimal has the least SAE.
-        let (sa, ss, sm) = (
-            realized_sae(&h_sae, &data),
-            realized_sae(&h_sse, &data),
-            realized_sae(&h_max, &data),
-        );
-        prop_assert!(sa <= ss + 1e-6, "sae {sa} > sse-hist {ss}");
-        prop_assert!(sa <= sm + 1e-6, "sae {sa} > max-hist {sm}");
-        // Max-error-optimal has the least L-inf.
-        let (ma, ms, mm) = (
-            realized_max_error(&h_max, &data),
-            realized_max_error(&h_sse, &data),
-            realized_max_error(&h_sae, &data),
-        );
-        prop_assert!(ma <= ms + 1e-6, "max {ma} > sse-hist {ms}");
-        prop_assert!(ma <= mm + 1e-6, "max {ma} > sae-hist {mm}");
     }
 
     /// Paper §4.2: HERROR[i, k] is non-decreasing in i and non-increasing
@@ -76,51 +38,18 @@ proptest! {
         }
     }
 
-    #[test]
-    fn sparse_table_matches_scan(data in data_strategy(40)) {
-        let t = RangeMinMax::new(&data);
-        let n = data.len();
-        for (a, b) in [(0, n - 1), (0, 0), (n / 2, n - 1), (n / 3, 2 * n / 3)] {
-            let (a, b) = (a.min(b), a.max(b));
-            let mn = data[a..=b].iter().cloned().fold(f64::INFINITY, f64::min);
-            let mx = data[a..=b].iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert_eq!(t.min(a, b), mn);
-            prop_assert_eq!(t.max(a, b), mx);
-        }
-    }
-
-    #[test]
-    fn rolling_median_is_exact(data in data_strategy(60)) {
-        let mut rm = RollingMedian::new();
-        for (i, &v) in data.iter().enumerate() {
-            rm.insert(v);
-            let mut sorted: Vec<f64> = data[..=i].to_vec();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let med = sorted[(sorted.len() - 1) / 2];
-            prop_assert_eq!(rm.median(), med, "prefix {}", i + 1);
-            let sae: f64 = sorted.iter().map(|v| (v - med).abs()).sum();
-            prop_assert!((rm.sae() - sae).abs() < 1e-9);
-        }
-    }
-
-    /// All three constructions respect the bucket budget and tile the
-    /// domain (structural soundness on arbitrary inputs).
+    /// The construction respects the bucket budget and tiles the domain
+    /// (structural soundness on arbitrary inputs).
     #[test]
     fn constructions_are_structurally_sound(data in data_strategy(25), b in 1usize..6) {
-        for h in [
-            optimal_histogram(&data, b),
-            optimal_histogram_sae(&data, b),
-            max_error_histogram(&data, b),
-            max_error_dp(&data, b),
-        ] {
-            prop_assert!(h.num_buckets() <= b);
-            prop_assert_eq!(h.domain_len(), data.len());
-            let mut covered = 0usize;
-            for bk in h.buckets() {
-                prop_assert_eq!(bk.start, covered);
-                covered = bk.end + 1;
-            }
-            prop_assert_eq!(covered, data.len());
+        let h = optimal_histogram(&data, b);
+        prop_assert!(h.num_buckets() <= b);
+        prop_assert_eq!(h.domain_len(), data.len());
+        let mut covered = 0usize;
+        for bk in h.buckets() {
+            prop_assert_eq!(bk.start, covered);
+            covered = bk.end + 1;
         }
+        prop_assert_eq!(covered, data.len());
     }
 }

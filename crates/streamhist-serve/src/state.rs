@@ -240,8 +240,8 @@ impl ServeState {
         result
     }
 
-    /// The per-verb latency recorder (exposed so the load-test bench can
-    /// read server-side p50/p99 after a run).
+    /// The per-verb latency recorder (exposed so callers can read
+    /// server-side p50/p99, as `per_verb_metrics_are_recorded` does).
     #[must_use]
     pub fn verb_latency(&self, verb: &str) -> Arc<LatencyRecorder> {
         self.registry.latency_with(

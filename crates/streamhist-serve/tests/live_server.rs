@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use streamhist_obs::MetricsRegistry;
 use streamhist_serve::{
     ClientError, ErrorCode, QuantileMethod, QueryServer, Request, RetryBudget, ServeClient,
@@ -549,6 +549,48 @@ fn slow_query_threshold_zero_logs_every_request_with_its_trace() {
         .find(|(verb, _, _)| verb == "range_sum")
         .expect("the traced range_sum must be in the slow-query log");
     assert_eq!(range_sum.1, Some(0xCAFE), "timeline carries the trace id");
+    server.shutdown();
+}
+
+/// A thousand valid range-sums on one connection: every reply is an
+/// answer, every round trip stays under 50 ms, and the server's
+/// slow-query log, armed at the same 50 ms, stays empty. A loopback round
+/// trip takes well under a millisecond even in a debug build, so the
+/// ceiling catches only order-of-magnitude faults, such as a stall on the
+/// answer path or a frame parse that grows with the connection's history.
+#[test]
+fn sustained_range_sums_answer_fast_with_no_error_frames() {
+    const CEILING: Duration = Duration::from_millis(50);
+    let fleet = FleetHandle::new(ShardedFixedWindow::new(2, 128, 8, 0.1));
+    let state = ServeState::new(fleet, Arc::new(MetricsRegistry::new()));
+    for i in 0..400u64 {
+        state.ingest(i, (i % 16) as f64).unwrap();
+    }
+    let domain = state.fleet().snapshot_global().unwrap().0.domain_len();
+    let options = ServerOptions {
+        slow_query: CEILING,
+        ..ServerOptions::default()
+    };
+    let server = QueryServer::start_with("127.0.0.1:0", state.clone(), 1, options).unwrap();
+    let mut client = ServeClient::connect(server.local_addr()).unwrap();
+    let mut slowest = Duration::ZERO;
+    for i in 0..1000usize {
+        let end = 1 + (i * 7) % (domain - 1);
+        let start = (i * 3) % end;
+        let sent = Instant::now();
+        let reply = client.range_sum(start, end);
+        slowest = slowest.max(sent.elapsed());
+        if let Err(e) = reply {
+            panic!("range_sum({start}, {end}) #{i}: {e}");
+        }
+    }
+    assert!(slowest < CEILING, "slowest round trip {slowest:?}");
+    let (_, events) = client.events_all(0).unwrap();
+    let slow = events
+        .iter()
+        .filter(|e| matches!(e.kind, streamhist_obs::EventKind::SlowQuery { .. }))
+        .count();
+    assert_eq!(slow, 0, "slow-query events at a {CEILING:?} threshold");
     server.shutdown();
 }
 

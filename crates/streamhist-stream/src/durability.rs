@@ -116,9 +116,11 @@ pub(crate) fn with_retry_notifying<T>(
 /// `ShardedFixedWindow::builder(..).durability(..)`.
 ///
 /// Construct with [`DurabilityOptions::new`] and adjust via the chainable
-/// setters; the defaults (64-record segments, a 256-job upload queue that
-/// blocks when full) fit the committed `BENCH_wal.json` amplification
-/// gate at the fleet's default 1024-record checkpoint interval.
+/// setters. The defaults (64-record segments, a 256-job upload queue that
+/// blocks when full) write about 1.8 bytes per byte ingested at the
+/// fleet's default 1024-record checkpoint interval, as the recovery suite's
+/// `wal_amplification_is_pinned_and_the_store_rebuilds_every_synced_record`
+/// pins.
 #[derive(Clone)]
 pub struct DurabilityOptions {
     /// Where frames and WAL segments go.

@@ -112,8 +112,7 @@ pub(crate) struct Interval {
 /// cold.herror_evals + cold.binary_searches` and every other field to
 /// equality.
 ///
-/// The `Default` value is the all-zero record, which is the identity for
-/// [`absorb`](Self::absorb)-based fleet aggregation.
+/// The `Default` value is the all-zero record.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelStats {
     /// Interval count per level queue (`B−1` entries); the paper bounds
@@ -145,34 +144,6 @@ pub struct KernelStats {
     pub compactions: usize,
     /// Number of prefix-sum anchor rebases performed by the backing store.
     pub rebases: usize,
-}
-
-impl KernelStats {
-    /// Folds another kernel's stats into this one, for fleet-level
-    /// reporting across shards (the sharded serving layer and the
-    /// `sharded_scaling` bench aggregate per-shard stats this way).
-    ///
-    /// Work counters (`herror_evals`, `binary_searches`, `compactions`,
-    /// `rebases`) and `arena_nodes` add; `queue_sizes` add elementwise
-    /// (levels the shorter record lacks count as 0); `herror` adds (the
-    /// shards partition the key space, so total SSE across the fleet is
-    /// the sum of per-shard SSEs); `arena_peak` takes the maximum (it is a
-    /// high-water mark, not a flow).
-    pub fn absorb(&mut self, other: &KernelStats) {
-        if self.queue_sizes.len() < other.queue_sizes.len() {
-            self.queue_sizes.resize(other.queue_sizes.len(), 0);
-        }
-        for (mine, theirs) in self.queue_sizes.iter_mut().zip(&other.queue_sizes) {
-            *mine += theirs;
-        }
-        self.herror_evals += other.herror_evals;
-        self.binary_searches += other.binary_searches;
-        self.herror += other.herror;
-        self.arena_nodes += other.arena_nodes;
-        self.arena_peak = self.arena_peak.max(other.arena_peak);
-        self.compactions += other.compactions;
-        self.rebases += other.rebases;
-    }
 }
 
 /// One materialized build keyed by the generation that produced it.
@@ -1335,26 +1306,6 @@ mod tests {
         );
         assert_eq!(kernel.materialize_top(), before);
         assert_eq!(kernel.top.expect("nonempty").0, before_sse);
-    }
-
-    #[test]
-    fn stats_absorb_aggregates_fleet_totals() {
-        let data: Vec<f64> = (0..200).map(|i| ((i * 13 + 7) % 31) as f64).collect();
-        let (a, _) = online_over(&data[..100], 4, 0.1);
-        let (b, _) = online_over(&data[100..], 3, 0.1);
-        let (sa, sb) = (a.stats(2), b.stats(5));
-        let mut fleet = KernelStats::default();
-        fleet.absorb(&sa);
-        fleet.absorb(&sb);
-        assert_eq!(fleet.herror_evals, sa.herror_evals + sb.herror_evals);
-        assert_eq!(fleet.rebases, 7);
-        assert!((fleet.herror - (sa.herror + sb.herror)).abs() < 1e-12);
-        assert_eq!(fleet.arena_peak, sa.arena_peak.max(sb.arena_peak));
-        // Elementwise queue totals, padded to the deeper record (B=4 has 3
-        // levels, B=3 has 2).
-        assert_eq!(fleet.queue_sizes.len(), 3);
-        assert_eq!(fleet.queue_sizes[0], sa.queue_sizes[0] + sb.queue_sizes[0]);
-        assert_eq!(fleet.queue_sizes[2], sa.queue_sizes[2]);
     }
 
     #[test]

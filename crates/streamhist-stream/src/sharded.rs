@@ -51,7 +51,7 @@
 //!   under overload, snapshots served, respawns, current queue depth —
 //!   readable through [`metrics`](ShardedFixedWindow::metrics) without a
 //!   barrier round-trip (counters are `Relaxed` atomics, exact once the
-//!   shard is quiescent). The `sharded_scaling` bench prints them per run.
+//!   shard is quiescent).
 //!
 //! Routing is a fixed key hash ([`shard_of`](ShardedFixedWindow::shard_of));
 //! re-sharding and replication remain out of scope.
@@ -78,9 +78,10 @@ use streamhist_obs::{Counter, EventKind, FlightRecorder, FloatGauge, Gauge, Metr
 /// split into exactly `shards()` chunks of `len / k` records each; for
 /// large slabs those chunks are big enough that every worker spends its
 /// whole quantum inside one `push_batch`, serializing the fleet behind the
-/// slowest chunk (the `bench_batch` speedup inversion: batch-1024 slower
-/// than batch-64). Capping the chunk keeps large slabs flowing round-robin
-/// across all shards in queue-slot-sized pieces that pipeline. The cap is
+/// slowest chunk (a speedup inversion: 1024-record slabs ingested slower
+/// than 64-record ones). Capping the chunk keeps large slabs flowing
+/// round-robin across all shards in queue-slot-sized pieces that pipeline;
+/// `scatter_caps_chunks_so_large_slabs_wrap_all_shards` pins the dealing. The cap is
 /// deliberately small: an A/B sweep over caps {8, 16, 32, 128} showed the
 /// inversion re-appearing from 32 up (large slabs 10-25% behind 64-record
 /// slabs), while at 16 the two are at parity from smoke scale to 64k-record
@@ -2092,27 +2093,19 @@ mod tests {
         for (s, sm) in m.iter().enumerate() {
             assert_eq!(sm.pushes_accepted, 512, "shard {s} share");
         }
-        // Round-robin dispatch in slab order keeps per-shard order: each
-        // shard's window is an ascending subsequence of the 0..2048 ramp
-        // (values mod 997 — compare positions via a strictly increasing
-        // reconstruction instead).
+        // Round-robin dispatch from shard 0 in slab order: shard `s` holds
+        // chunks `s, s + 4, s + 8, …`, so every shard works on every part
+        // of a large slab instead of one monolithic quarter of it.
         let summaries = joined_ok(sharded);
-        let mut cursor = vec![0usize; slab.len()];
-        for (i, &v) in slab.iter().enumerate() {
-            cursor[i] = v as usize;
-        }
-        for fw in &summaries {
-            let w = fw.window();
-            assert_eq!(w.len(), 512);
-            // Each shard's chunks are cap-aligned sub-slices of the slab in
-            // slab order; verify by matching them against the slab greedily.
-            let mut pos = 0usize;
-            for chunk in w.chunks(16) {
-                let found = (pos..=slab.len() - chunk.len())
-                    .find(|&p| slab[p..p + chunk.len()] == *chunk)
-                    .expect("chunk is a contiguous sub-slice of the slab");
-                pos = found + chunk.len();
-            }
+        for (s, fw) in summaries.iter().enumerate() {
+            let dealt: Vec<f64> = slab
+                .chunks(16)
+                .skip(s)
+                .step_by(shards)
+                .flatten()
+                .copied()
+                .collect();
+            assert_eq!(fw.window(), dealt, "shard {s} window");
         }
     }
 

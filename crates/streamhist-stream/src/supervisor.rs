@@ -138,7 +138,8 @@ pub struct SupervisorOptions {
     /// as a *consecutive* failure; surviving a probe past it resets the
     /// count. Zero disables flap tracking entirely (every successful
     /// probe resets the count, so quarantine never triggers) — useful
-    /// when a harness kills shards on purpose, e.g. `bench_recovery`.
+    /// when a harness kills shards on purpose, as
+    /// `threaded_supervisor_heals_without_manual_intervention` does.
     pub flap_window: Duration,
 }
 
@@ -921,15 +922,18 @@ mod tests {
             ..SupervisorOptions::default()
         };
         let sup = Supervisor::start(f.clone(), opts).unwrap();
+        // Kill to serving takes milliseconds; the 2 s ceiling is loose on
+        // purpose, so only a stuck probe thread or a respawn deadlock
+        // trips it on a loaded machine.
+        let killed_at = Instant::now();
         f.inject_worker_panic(0).unwrap().unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             if f.snapshot_global().is_ok() && sup.health()[0].state == ShardState::Live {
                 break;
             }
             assert!(
-                Instant::now() < deadline,
-                "supervisor failed to heal in 10s"
+                killed_at.elapsed() < Duration::from_secs(2),
+                "supervisor failed to heal within 2s of the kill"
             );
             std::thread::sleep(Duration::from_millis(5));
         }

@@ -436,10 +436,12 @@ mod tests {
     fn fleet_timing_is_armed_by_the_tracer_not_the_registry() {
         let registry = Arc::new(MetricsRegistry::new());
         let tracer = Arc::new(KernelTracer::new(&registry));
+        let recorder = Arc::new(streamhist_obs::FlightRecorder::default());
         let values: Vec<f64> = (0..4096).map(|i| (i % 97) as f64).collect();
         for fleet in ["untraced", "traced"] {
             let mut builder = crate::ShardedFixedWindow::builder(2, 64, 4, 0.1)
                 .registry(Arc::clone(&registry))
+                .recorder(Arc::clone(&recorder))
                 .fleet_label(fleet);
             if fleet == "traced" {
                 builder = builder.kernel_tracer(Arc::clone(&tracer));
@@ -466,5 +468,7 @@ mod tests {
                 "{family}"
             );
         }
+        // No shard died and nothing was shed, so the ring stays empty.
+        assert_eq!(recorder.recorded(), 0, "idle recorder captured events");
     }
 }

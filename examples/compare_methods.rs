@@ -89,28 +89,6 @@ fn main() {
     let h_ew = streamhist::Histogram::equi_width(&data, b);
     report("equi-width", h_ew.sse(&data), &h_ew, t.elapsed());
 
-    // Alternative error objectives (paper footnote 3): SAE-optimal with
-    // median heights, and max-error-optimal with mid-range heights.
-    let t = Instant::now();
-    let h_sae = streamhist::optimal_histogram_sae(&data, b);
-    report(
-        "SAE-optimal (medians)",
-        h_sae.sse(&data),
-        &h_sae,
-        t.elapsed(),
-    );
-    let t = Instant::now();
-    let h_max = streamhist::max_error_histogram(&data, b);
-    report("max-err-optimal", h_max.sse(&data), &h_max, t.elapsed());
-    println!(
-        "  (SAE-optimal: SAE {:.4e} vs {:.4e} for the SSE-optimal; \
-         max-err-optimal: L-inf {:.1} vs {:.1})",
-        streamhist::realized_sae(&h_sae, &data),
-        streamhist::realized_sae(&h_opt, &data),
-        streamhist::realized_max_error(&h_max, &data),
-        streamhist::realized_max_error(&h_opt, &data)
-    );
-
     // Value-domain equi-depth histogram (different query class: value
     // selectivity, not index ranges) — reported separately.
     let t = Instant::now();

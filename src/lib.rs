@@ -77,11 +77,7 @@ pub mod codec {
     pub use streamhist_core::codec::{decode, encode, DecodeError};
 }
 
-pub use streamhist_optimal::{
-    brute_force_optimal, herror_table, max_error_dp, max_error_histogram, optimal_histogram,
-    optimal_histogram_sae, optimal_sse, realized_max_error, realized_sae, RangeMinMax,
-    RollingMedian,
-};
+pub use streamhist_optimal::{brute_force_optimal, herror_table, optimal_histogram, optimal_sse};
 pub use streamhist_quantile::{
     EquiDepthHistogram, GkSummary, MrlSummary, QuantileSummary, StreamingEquiDepth,
 };

@@ -18,11 +18,12 @@
 //! untouched.
 
 use proptest::prelude::*;
+use streamhist::data::utilization_trace;
 use streamhist::freq::FrequencyVector;
 use streamhist::{
     merge_histograms, optimal_sse, Bucket, DynamicWavelet, FixedWindowHistogram, GkSummary,
-    Histogram, MergeableSummary, QuantileSummary, StreamhistError, TimeWindowHistogram,
-    WaveletSynopsis,
+    Histogram, MergeableSummary, QuantileSummary, ShardedFixedWindow, StreamhistError,
+    TimeWindowHistogram, WaveletSynopsis,
 };
 
 fn exact_rank(sorted: &[f64], v: f64) -> usize {
@@ -292,6 +293,41 @@ proptest! {
             sse.sqrt() <= bound + 1e-6,
             "sse {} exceeds composed bound {} (G {}, OPT {})",
             sse, bound * bound, gather_term, opt
+        );
+    }
+}
+
+/// A live fleet's `snapshot_global` honours the same gather bound as the
+/// bare merge, at 1, 4 and 16 shards: each shard's window of 256 is
+/// filled twice over, then a fresh slab forces the gather to rebuild
+/// before it is measured against `OPT_B` of the concatenated windows.
+#[test]
+fn fleet_global_snapshot_is_within_the_gather_bound() {
+    let (window, b, eps) = (256, 8, 0.1);
+    for shards in [1usize, 4, 16] {
+        let fleet = ShardedFixedWindow::new(shards, window, b, eps);
+        let stream = utilization_trace(2 * shards * window, 42 + shards as u64);
+        fleet.push_batch_scatter(&stream).expect("lossless push");
+        let _ = fleet.snapshot_global().expect("fleet healthy");
+        fleet
+            .push_batch_scatter(&utilization_trace(shards, 7))
+            .expect("lossless push");
+        let (global, _) = fleet.snapshot_global().expect("fleet healthy");
+        let mut u = Vec::with_capacity(shards * window);
+        let mut g = 0.0f64;
+        for fw in fleet.join() {
+            let fw = fw.expect("worker alive");
+            let w = fw.window();
+            g += fw.histogram().sse(&w);
+            u.extend_from_slice(&w);
+        }
+        assert_eq!(global.domain_len(), u.len(), "{shards} shards: coverage");
+        let (sse, opt) = (global.sse(&u), optimal_sse(&u, b));
+        let bound = g.sqrt() + (1.0 + eps).sqrt() * (g.sqrt() + opt.sqrt());
+        assert!(
+            sse.sqrt() <= bound + 1e-6,
+            "{shards} shards: SSE {sse} exceeds the gather bound {} (G {g}, OPT {opt})",
+            bound * bound
         );
     }
 }

@@ -678,6 +678,66 @@ fn crash_mid_upload_fuzz() {
     }
 }
 
+/// Checkpoint amplification at a fixed shape (DESIGN.md §5.2): 65,536
+/// records of `utilization_trace` seed 42 in 4,096-record scatters over 4
+/// shards of capacity 256, with 64-record WAL segments and a full frame
+/// every 1,024 records. Every byte the pipeline writes is a function of
+/// that input, so the total is pinned exactly: an extra envelope byte, a
+/// fatter frame or a frame too many moves it. A healthy store under the
+/// `Block` policy loses nothing, and a second fleet rebuilt from the
+/// store holds every record but each shard's sub-segment tail.
+#[test]
+fn wal_amplification_is_pinned_and_the_store_rebuilds_every_synced_record() {
+    const SHARDS: usize = 4;
+    const CAPACITY: usize = 256;
+    const WAL_SYNC: usize = 64;
+    const RECORDS: usize = 65_536;
+    const BYTES_WRITTEN: u64 = 932_216;
+
+    let store = Arc::new(MemStore::new());
+    let fleet = ShardedFixedWindow::builder(SHARDS, CAPACITY, 8, 0.1)
+        .checkpoint_interval(1024)
+        .durability(DurabilityOptions::new(Arc::clone(&store) as _).wal_sync(WAL_SYNC))
+        .build()
+        .expect("valid durable fleet");
+    for slab in streamhist::data::utilization_trace(RECORDS, 42).chunks(4096) {
+        fleet.push_batch_scatter(slab).expect("lossless ingest");
+    }
+    for shard in 0..SHARDS {
+        fleet.snapshot(shard).expect("worker alive");
+    }
+    fleet.flush_wal();
+
+    let status = fleet.wal_status();
+    assert_eq!(status.bytes_ingested, 8 * RECORDS as u64);
+    assert_eq!(status.bytes_written, BYTES_WRITTEN, "{status:?}");
+    assert_eq!(status.segments_dropped, 0, "{status:?}");
+    assert_eq!(status.failures, 0, "{status:?}");
+    let accepted: Vec<u64> = fleet
+        .metrics_all()
+        .iter()
+        .map(|m| m.pushes_accepted)
+        .collect();
+    assert_eq!(accepted.iter().sum::<u64>(), RECORDS as u64);
+    let unsynced: u64 = accepted.iter().map(|a| a % WAL_SYNC as u64).sum();
+
+    let mut rebuilt = ShardedFixedWindow::builder(SHARDS, CAPACITY, 8, 0.1)
+        .build()
+        .expect("valid fleet");
+    rebuilt
+        .load_from_store(store.as_ref())
+        .expect("store rebuilds the fleet");
+    let recovered: u64 = rebuilt
+        .join()
+        .into_iter()
+        .map(|r| r.expect("worker alive").total_pushed())
+        .sum();
+    assert_eq!(recovered + unsynced, RECORDS as u64);
+    for r in fleet.join() {
+        r.expect("worker alive at join");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Supervised chaos sweep (DESIGN.md "Supervision and degraded serving").
 // ---------------------------------------------------------------------
